@@ -242,12 +242,11 @@ func BenchmarkSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkAddSlice measures the block-structured bulk accumulation path
-// per representation against the scalar per-element loop it replaced, on
-// a wide exponent distribution (general three-digit scatter) and a narrow
-// one (where Dense and Small take the exponent-window lane fast path).
-// The block/scalar pairs make each path's contribution individually
-// visible; see DESIGN.md §3d.
+// BenchmarkAddSlice measures the bulk accumulation path ("block", the
+// AddSlice lane-cache path) per representation against the scalar
+// per-element loop it replaced, on a wide exponent distribution and a
+// narrow one. The block/scalar pairs make each path's contribution
+// individually visible; see DESIGN.md §3e.
 func BenchmarkAddSlice(b *testing.B) {
 	const n = 1 << 16
 	type acc interface {

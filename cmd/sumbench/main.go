@@ -11,9 +11,11 @@
 //	sumbench -figure ingest -workerlist 1,2,4,8 -batches 1,64,4096
 //
 // Figures: f1 f2 f3 pram cond em carry radix sigma combiner seq parallel
-// ingest wire stream keyed engines all. The seq, parallel, ingest, wire,
-// and keyed figures enumerate the summation-engine registry, so newly
-// registered engines appear without harness changes. Unknown -figure or
+// ingest wire stream keyed engines all. The seq, parallel, wire, and
+// stream figures enumerate the summation-engine registry, so newly
+// registered engines appear without harness changes; the ingest and keyed
+// figures measure the service stack's one accumulator, the dense
+// superaccumulator. Unknown -figure or
 // -engines names exit with status 2 and print the valid names.
 package main
 
@@ -49,7 +51,7 @@ func main() {
 		split     = flag.Int("split", 1<<20, "elements per input split")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
 		quick     = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
-		engines   = flag.String("engines", "dense,sparse,small,large", "engines for the parallel and ingest figures")
+		engines   = flag.String("engines", "dense,sparse,small,large", "engines for the parallel, wire, and stream figures")
 		batches   = flag.String("batches", "1,64,4096", "batch-size sweep for the ingest figure")
 		reps      = flag.Int("reps", 3, "repetitions per parallel/ingest/wire/stream cell (best-of)")
 		parts     = flag.Int("parts", 64, "combiner partials for the wire figure")
@@ -82,9 +84,9 @@ func main() {
 		}
 	}
 	// checkEngines resolves the -engines flag, exiting with the registry's
-	// valid names on an unknown engine. When needSharded is set it also
-	// requires the capabilities the sharded ingestion layer needs.
-	checkEngines := func(needSharded bool) []string {
+	// valid names on an unknown engine. When needWindow is set it also
+	// requires the capabilities a sliding window needs.
+	checkEngines := func(needWindow bool) []string {
 		names := splitNames(*engines)
 		for _, nm := range names {
 			e, ok := engine.Get(nm)
@@ -92,8 +94,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "unknown engine %q (known: %s)\n", nm, strings.Join(engine.Names(), ", "))
 				os.Exit(2)
 			}
-			if caps := e.Caps(); needSharded && (!caps.Streaming || !caps.DeterministicParallel) {
-				fmt.Fprintf(os.Stderr, "engine %q cannot back sharded ingestion (needs Streaming and DeterministicParallel)\n", nm)
+			if caps := e.Caps(); needWindow && (!caps.Streaming || !caps.DeterministicParallel || !caps.Invertible) {
+				fmt.Fprintf(os.Stderr, "engine %q cannot back a sliding window (needs Streaming, DeterministicParallel and Invertible)\n", nm)
 				os.Exit(2)
 			}
 		}
@@ -173,7 +175,7 @@ func main() {
 					os.Exit(2)
 				}
 			}
-			snap := bench.IngestBench(sz, *delta, wl, bs, checkEngines(true), *reps)
+			snap := bench.IngestBench(sz, *delta, wl, bs, *reps)
 			show(snap.Table())
 			if *jsonOut != "" {
 				data, err := snap.JSON()
@@ -192,14 +194,7 @@ func main() {
 					os.Exit(2)
 				}
 			}
-			names := checkEngines(true)
-			for _, nm := range names {
-				if !engine.MustGet(nm).Caps().Invertible {
-					fmt.Fprintf(os.Stderr, "engine %q cannot back a sliding window (needs Invertible)\n", nm)
-					os.Exit(2)
-				}
-			}
-			snap := bench.StreamBench(sz, *delta, sl, bk, names, *reps)
+			snap := bench.StreamBench(sz, *delta, sl, bk, checkEngines(true), *reps)
 			show(snap.Table())
 			if *jsonOut != "" {
 				data, err := snap.JSON()
@@ -218,7 +213,7 @@ func main() {
 					os.Exit(2)
 				}
 			}
-			snap := bench.KeyedBench(sz, *delta, pl, kc, checkEngines(true), *reps)
+			snap := bench.KeyedBench(sz, *delta, pl, kc, *reps)
 			show(snap.Table())
 			if *jsonOut != "" {
 				data, err := snap.JSON()

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	sumd -addr :8372 -engine dense -shards 8
+//	sumd -addr :8372 -shards 8
 //	sumd -async -queue 512 -maxbatch 8192 -maxdelay 2ms
 //	sumd -partitions 16   # keyed-store stripes for /v1/add?key=…
 //
@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8372", "listen address (host:port; port 0 picks a free port)")
-		engName  = fs.String("engine", "dense", "summation engine backing the service")
 		shards   = fs.Int("shards", 0, "writer-stripe count (0 = GOMAXPROCS)")
 		parts    = fs.Int("partitions", 0, "keyed-store partition count (0 = GOMAXPROCS)")
 		maxBody  = fs.Int64("maxbody", 0, "request-body cap in bytes (0 = 64 MiB default)")
@@ -104,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	srv, err := sumdsrv.New(sumdsrv.Options{
-		Engine: *engName, Shards: *shards, KeyPartitions: *parts, MaxBodyBytes: *maxBody,
+		Shards: *shards, KeyPartitions: *parts, MaxBodyBytes: *maxBody,
 		Async: *async, QueueLen: *queue, MaxBatch: *maxBatch, MaxDelay: *maxDelay, Flushers: *flushers,
 		WALDir: *walDir, WALFsync: *fsyncPol, WALSegBytes: *segBytes, WALSnapshotEvery: *snapN,
 	})
@@ -129,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *async {
 		mode = "async"
 	}
-	fmt.Fprintf(stdout, "sumd: engine=%s ingest=%s listening on %s\n", srv.Engine(), mode, ln.Addr())
+	fmt.Fprintf(stdout, "sumd: ingest=%s listening on %s\n", mode, ln.Addr())
 
 	hs := timeouts.Server(srv)
 	errc := make(chan error, 1)

@@ -19,11 +19,9 @@ func TestRunUsageErrors(t *testing.T) {
 	if got := run(ctx, []string{"stray-arg"}, &out, &errb); got != 2 {
 		t.Errorf("stray arg: exit %d, want 2", got)
 	}
-	if got := run(ctx, []string{"-engine", "no-such-engine"}, &out, &errb); got != 2 {
-		t.Errorf("unknown engine: exit %d, want 2", got)
-	}
-	if got := run(ctx, []string{"-engine", "kahan"}, &out, &errb); got != 2 {
-		t.Errorf("non-sharded engine: exit %d, want 2", got)
+	// The service runs one representation; there is no engine to pick.
+	if got := run(ctx, []string{"-engine", "dense"}, &out, &errb); got != 2 {
+		t.Errorf("removed -engine flag: exit %d, want 2", got)
 	}
 	if got := run(ctx, []string{"-addr", "256.256.256.256:1"}, &out, &errb); got != 1 {
 		t.Errorf("unbindable addr: exit %d, want 1", got)

@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		replication = fs.Int("replication", 0, "replicas per key (0 = min(3, backends))")
 		vnodes      = fs.Int("vnodes", 0, "ring virtual nodes per backend (0 = default)")
 		ackMode     = fs.String("ack", "", "write ack mode: quorum, all, or one (default quorum)")
-		engName     = fs.String("engine", "dense", "summation engine; must match the backends and be invertible")
 		timeout     = fs.Duration("timeout", 0, "per-backend-attempt deadline (0 = 5s)")
 		retry429    = fs.Int("retry429", 0, "retries per backend attempt on 429 shed responses")
 		brThresh    = fs.Int("breaker-threshold", 0, "consecutive failures that open a backend's breaker (0 = default)")
@@ -90,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	p, err := proxy.New(proxy.Options{
 		Backends: nodes, Replication: *replication, VNodes: *vnodes,
-		AckMode: *ackMode, Engine: *engName,
+		AckMode: *ackMode,
 		Timeout: *timeout, Retry429: *retry429,
 		BreakerThreshold: *brThresh, BreakerCooldown: *brCooldown,
 		HintCap: *hintCap, ReplayEvery: *replayEvery, RepairEvery: *repairEvery,

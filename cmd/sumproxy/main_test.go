@@ -27,16 +27,9 @@ func TestRunUsageErrors(t *testing.T) {
 	if got := run(ctx, []string{"-backends", " , ,"}, &out, &errb); got != 2 {
 		t.Errorf("empty backends list: exit %d, want 2", got)
 	}
-	if got := run(ctx, []string{"-backends", "http://x", "-engine", "no-such-engine"}, &out, &errb); got != 2 {
-		t.Errorf("unknown engine: exit %d, want 2", got)
-	}
-	// kahan is registered but not invertible; repair cannot push diffs.
-	errb.Reset()
-	if got := run(ctx, []string{"-backends", "http://x", "-engine", "kahan"}, &out, &errb); got != 2 {
-		t.Errorf("non-invertible engine: exit %d, want 2", got)
-	}
-	if !strings.Contains(errb.String(), "not invertible") {
-		t.Errorf("kahan: stderr %q does not explain invertibility", errb.String())
+	// The fleet runs one representation; there is no engine to pick.
+	if got := run(ctx, []string{"-backends", "http://x", "-engine", "dense"}, &out, &errb); got != 2 {
+		t.Errorf("removed -engine flag: exit %d, want 2", got)
 	}
 	if got := run(ctx, []string{"-backends", "http://x", "-ack", "most"}, &out, &errb); got != 2 {
 		t.Errorf("unknown ack mode: exit %d, want 2", got)

@@ -403,10 +403,7 @@ func (f sinkFunc) SubBatch(xs []float64) { panic("unexpected SubBatch") }
 // also the torn-counter regression test: with per-field atomics a
 // snapshot could observe flushes ahead of enqueues.
 func TestMetricsInvariantsUnderLoad(t *testing.T) {
-	s, err := shard.New(shard.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{Shards: 2})
 	b := batch.New(s, batch.Options{QueueLen: 8, MaxBatch: 64, MaxDelay: 200 * time.Microsecond, Flushers: 2})
 
 	stop := make(chan struct{})
@@ -469,10 +466,7 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 // parsum.Sum over exactly the accepted multiset — nothing dropped,
 // nothing applied twice.
 func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
-	s, err := shard.New(shard.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{Shards: 4})
 	b := batch.New(s, batch.Options{QueueLen: 4, MaxBatch: 32, MaxDelay: 100 * time.Microsecond, Flushers: 2})
 
 	const workers, perWorker = 4, 200

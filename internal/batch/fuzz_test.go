@@ -72,10 +72,7 @@ func FuzzBatcherInterleave(f *testing.F) {
 			})
 		}
 
-		s, err := shard.New(shard.Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := shard.New(shard.Options{Shards: shards})
 		b := batch.New(s, opt)
 		acceptedAdds := make([][]float64, workers)
 		acceptedSubs := make([][]float64, workers)

@@ -15,11 +15,7 @@ import (
 
 func newKeyedStore(t *testing.T, parts int) *keyed.Store {
 	t.Helper()
-	s, err := keyed.New(keyed.Options{Engine: "dense", Partitions: parts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return keyed.New(keyed.Options{Partitions: parts})
 }
 
 // plainSink is a minimal Sink that records the global multiset.

@@ -12,24 +12,23 @@ import (
 	"time"
 
 	"parsum/internal/batch"
-	"parsum/internal/engine"
+	"parsum/internal/core"
 	"parsum/internal/gen"
 	"parsum/internal/shard"
 )
 
 // IngestPoint is one measured cell of the concurrent-ingestion benchmark:
-// an engine at a writer count and batch size, ingesting through a Sharded
-// accumulator with one shard per writer. The async columns measure the
+// a writer count and batch size, ingesting through a Sharded accumulator
+// with one shard per writer. The async columns measure the
 // same workload submitted through the internal/batch front-end (bounded
 // queue, size-or-deadline flush, writers retrying on rejection) instead
 // of calling AddBatch directly.
 type IngestPoint struct {
-	Engine       string  `json:"engine"`
 	Writers      int     `json:"writers"`
 	Batch        int     `json:"batch"`
 	NsPerOp      int64   `json:"ns_per_op"` // full ingestion + final Sum
 	MopsPerS     float64 `json:"mops_per_s"`
-	Speedup      float64 `json:"speedup_vs_base"` // vs the same engine/batch at its lowest writer count
+	Speedup      float64 `json:"speedup_vs_base"` // vs the same batch at its lowest writer count
 	AsyncNsPerOp int64   `json:"async_ns_per_op"`
 	AsyncMops    float64 `json:"async_mops_per_s"`
 	AsyncRatio   float64 `json:"async_vs_sync"` // AsyncMops / MopsPerS
@@ -47,16 +46,13 @@ type IngestSnapshot struct {
 	Points     []IngestPoint `json:"points"`
 }
 
-// IngestBench measures sharded concurrent ingestion throughput for the
-// named engines across writer counts × batch sizes: writers pull batches
-// off a shared cursor and AddBatch them into a shard.Sharded (one shard
-// per writer), then one Sum() closes the cell. Every cell's result is
-// checked bit-identical against the engine's sequential one-shot sum —
-// a throughput number for a wrong sum would be meaningless — and a
-// mismatch panics. Engines must be registered and capable of backing a
-// Sharded (Streaming + DeterministicParallel); IngestBench panics
-// otherwise, mirroring ParallelBench's fail-loudly-before-timing policy.
-func IngestBench(n int64, delta int, writerList, batchSizes []int, engines []string, reps int) IngestSnapshot {
+// IngestBench measures sharded concurrent ingestion throughput across
+// writer counts × batch sizes: writers pull batches off a shared cursor
+// and AddBatch them into a shard.Sharded (one shard per writer), then one
+// Sum() closes the cell. Every cell's result is checked bit-identical
+// against the sequential one-shot sum — a throughput number for a wrong
+// sum would be meaningless — and a mismatch panics.
+func IngestBench(n int64, delta int, writerList, batchSizes []int, reps int) IngestSnapshot {
 	if reps < 1 {
 		reps = 1
 	}
@@ -78,60 +74,54 @@ func IngestBench(n int64, delta int, writerList, batchSizes []int, engines []str
 		Reps:       reps,
 	}
 	xs := gen.New(gen.Config{Dist: gen.Random, N: n, Delta: delta, Seed: 23}).Slice()
-	for _, name := range engines {
-		want := engine.MustGet(name).Sum(xs)
-		var points []IngestPoint
-		for _, batch := range batchSizes {
-			for _, w := range writerList {
-				best := time.Duration(1<<63 - 1)
-				bestAsync := best
-				for r := 0; r < reps; r++ {
-					d, got := ingestOnce(xs, name, w, batch)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						panic(fmt.Sprintf("bench: ingest %s writers=%d batch=%d: sum %g != sequential %g",
-							name, w, batch, got, want))
-					}
-					if d < best {
-						best = d
-					}
-					d, got = ingestAsyncOnce(xs, name, w, batch)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						panic(fmt.Sprintf("bench: async ingest %s writers=%d batch=%d: sum %g != sequential %g",
-							name, w, batch, got, want))
-					}
-					if d < bestAsync {
-						bestAsync = d
-					}
+	want := core.Sum(xs)
+	for _, batch := range batchSizes {
+		for _, w := range writerList {
+			best := time.Duration(1<<63 - 1)
+			bestAsync := best
+			for r := 0; r < reps; r++ {
+				d, got := ingestOnce(xs, w, batch)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					panic(fmt.Sprintf("bench: ingest writers=%d batch=%d: sum %g != sequential %g",
+						w, batch, got, want))
 				}
-				syncMops := float64(n) / best.Seconds() / 1e6
-				asyncMops := float64(n) / bestAsync.Seconds() / 1e6
-				points = append(points, IngestPoint{
-					Engine:       name,
-					Writers:      w,
-					Batch:        batch,
-					NsPerOp:      best.Nanoseconds(),
-					MopsPerS:     syncMops,
-					AsyncNsPerOp: bestAsync.Nanoseconds(),
-					AsyncMops:    asyncMops,
-					AsyncRatio:   asyncMops / syncMops,
-				})
-			}
-		}
-		// Speedup baseline: per engine × batch, the lowest measured writer
-		// count (matching ParallelBench's per-engine convention).
-		for batchStart := 0; batchStart < len(points); batchStart += len(writerList) {
-			group := points[batchStart : batchStart+len(writerList)]
-			base, baseW := int64(0), 0
-			for _, p := range group {
-				if base == 0 || p.Writers < baseW {
-					base, baseW = p.NsPerOp, p.Writers
+				if d < best {
+					best = d
+				}
+				d, got = ingestAsyncOnce(xs, w, batch)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					panic(fmt.Sprintf("bench: async ingest writers=%d batch=%d: sum %g != sequential %g",
+						w, batch, got, want))
+				}
+				if d < bestAsync {
+					bestAsync = d
 				}
 			}
-			for i := range group {
-				group[i].Speedup = float64(base) / float64(group[i].NsPerOp)
+			syncMops := float64(n) / best.Seconds() / 1e6
+			asyncMops := float64(n) / bestAsync.Seconds() / 1e6
+			snap.Points = append(snap.Points, IngestPoint{
+				Writers:      w,
+				Batch:        batch,
+				NsPerOp:      best.Nanoseconds(),
+				MopsPerS:     syncMops,
+				AsyncNsPerOp: bestAsync.Nanoseconds(),
+				AsyncMops:    asyncMops,
+				AsyncRatio:   asyncMops / syncMops,
+			})
+		}
+	}
+	// Speedup baseline: per batch, the lowest measured writer count.
+	for batchStart := 0; batchStart < len(snap.Points); batchStart += len(writerList) {
+		group := snap.Points[batchStart : batchStart+len(writerList)]
+		base, baseW := int64(0), 0
+		for _, p := range group {
+			if base == 0 || p.Writers < baseW {
+				base, baseW = p.NsPerOp, p.Writers
 			}
 		}
-		snap.Points = append(snap.Points, points...)
+		for i := range group {
+			group[i].Speedup = float64(base) / float64(group[i].NsPerOp)
+		}
 	}
 	return snap
 }
@@ -139,11 +129,8 @@ func IngestBench(n int64, delta int, writerList, batchSizes []int, engines []str
 // ingestOnce times one full ingestion: w writer goroutines pull
 // batch-sized ranges off a shared atomic cursor and AddBatch them into a
 // fresh Sharded with one shard per writer, then Sum() folds and rounds.
-func ingestOnce(xs []float64, engineName string, writers, batch int) (time.Duration, float64) {
-	s, err := shard.New(shard.Options{Engine: engineName, Shards: writers})
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
+func ingestOnce(xs []float64, writers, batch int) (time.Duration, float64) {
+	s := shard.New(shard.Options{Shards: writers})
 	var next atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -183,11 +170,8 @@ const asyncPipeline = 16
 // and spin-retry on rejection — the in-process analogue of the HTTP
 // client's 429/backoff loop. The final Sum closes the cell after Close
 // drains the queue.
-func ingestAsyncOnce(xs []float64, engineName string, writers, batchSize int) (time.Duration, float64) {
-	s, err := shard.New(shard.Options{Engine: engineName, Shards: writers})
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
+func ingestAsyncOnce(xs []float64, writers, batchSize int) (time.Duration, float64) {
+	s := shard.New(shard.Options{Shards: writers})
 	submitters := writers * asyncPipeline
 	// Size the flush trigger below the total in-flight value count so
 	// flushes fire on size while the pipeline stays full; the deadline
@@ -244,12 +228,12 @@ func ingestAsyncOnce(xs []float64, engineName string, writers, batchSize int) (t
 func (s IngestSnapshot) Table() Table {
 	t := Table{
 		Title:  fmt.Sprintf("T-INGEST — sharded concurrent ingestion (n=%d, δ=%d, GOMAXPROCS=%d, best of %d)", s.N, s.Delta, s.GoMaxProcs, s.Reps),
-		XLabel: "engine/writers/batch",
+		XLabel: "writers/batch",
 		Series: []string{"time", "Mops/s", "speedup", "async Mops/s", "async/sync"},
 	}
 	for _, p := range s.Points {
 		t.Rows = append(t.Rows, Row{
-			X: fmt.Sprintf("%s/%d/%d", p.Engine, p.Writers, p.Batch),
+			X: fmt.Sprintf("%d/%d", p.Writers, p.Batch),
 			Values: map[string]string{
 				"time":         secs(time.Duration(p.NsPerOp)),
 				"Mops/s":       fmt.Sprintf("%.1f", p.MopsPerS),
@@ -260,7 +244,7 @@ func (s IngestSnapshot) Table() Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"one shard per writer; every cell's sum verified bit-identical to the sequential engine",
+		"one shard per writer; every cell's sum verified bit-identical to the sequential sum",
 		"async = same workload through the internal/batch bounded-queue front-end (writers spin-retry on rejection)")
 	return t
 }

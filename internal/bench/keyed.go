@@ -9,21 +9,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsum/internal/engine"
+	"parsum/internal/core"
 	"parsum/internal/gen"
 	"parsum/internal/keyed"
 )
 
-// KeyedPoint is one measured cell of the keyed-aggregation benchmark: an
-// engine ingesting a fixed value stream spread round-robin over a key
-// population, through a keyed store with a given partition count.
+// KeyedPoint is one measured cell of the keyed-aggregation benchmark: a
+// fixed value stream spread round-robin over a key population, ingested
+// through a keyed store with a given partition count.
 type KeyedPoint struct {
-	Engine     string  `json:"engine"`
 	Partitions int     `json:"partitions"`
 	Keys       int     `json:"keys"`
 	NsPerOp    int64   `json:"ns_per_op"` // full ingestion + snapshot
 	MopsPerS   float64 `json:"mops_per_s"`
-	Speedup    float64 `json:"speedup_vs_base"` // vs the same engine/keys at 1 partition
+	Speedup    float64 `json:"speedup_vs_base"` // vs the same keys at 1 partition
 }
 
 // KeyedSnapshot is the recorded result of KeyedBench, written by
@@ -43,17 +42,14 @@ type KeyedSnapshot struct {
 // grouped-flush shape the async front-end hands AddKeyedBatches.
 const keyedBenchChunk = 256
 
-// KeyedBench measures keyed-store ingestion throughput for the named
-// engines across partition counts × key populations: GOMAXPROCS writer
-// goroutines pull pre-grouped keyed batches off a shared cursor and
-// AddKeyedBatches them into a fresh store, then one Snapshot closes the
-// cell. Every cell's per-key sums are checked bit-identical against the
-// engine's sequential sum of that key's multiset — a throughput number
-// for wrong bits would be meaningless — and a mismatch panics. Engines
-// must satisfy keyed.New's capability gate (Streaming,
-// DeterministicParallel, wire-capable); KeyedBench panics otherwise,
-// mirroring IngestBench's fail-loudly-before-timing policy.
-func KeyedBench(n int64, delta int, partitionList, keyCounts []int, engines []string, reps int) KeyedSnapshot {
+// KeyedBench measures keyed-store ingestion throughput across partition
+// counts × key populations: GOMAXPROCS writer goroutines pull
+// pre-grouped keyed batches off a shared cursor and AddKeyedBatches them
+// into a fresh store, then one Snapshot closes the cell. Every cell's
+// per-key sums are checked bit-identical against the sequential sum of
+// that key's multiset — a throughput number for wrong bits would be
+// meaningless — and a mismatch panics.
+func KeyedBench(n int64, delta int, partitionList, keyCounts []int, reps int) KeyedSnapshot {
 	if reps < 1 {
 		reps = 1
 	}
@@ -77,61 +73,55 @@ func KeyedBench(n int64, delta int, partitionList, keyCounts []int, engines []st
 		Reps:       reps,
 	}
 	xs := gen.New(gen.Config{Dist: gen.Random, N: n, Delta: delta, Seed: 29}).Slice()
-	for _, name := range engines {
-		eng := engine.MustGet(name)
-		var points []KeyedPoint
-		for _, nkeys := range keyCounts {
-			// Deal values round-robin to keys, then chunk each key's run
-			// into keyed batches — and derive the per-key oracle from the
-			// same dealt slices.
-			perKey := make([][]float64, nkeys)
-			for i, x := range xs {
-				k := i % nkeys
-				perKey[k] = append(perKey[k], x)
-			}
-			keys := make([]string, nkeys)
-			want := make([]float64, nkeys)
-			var work []keyed.Batch
-			for k, vs := range perKey {
-				keys[k] = fmt.Sprintf("key-%06d", k)
-				want[k] = eng.Sum(vs)
-				for lo := 0; lo < len(vs); lo += keyedBenchChunk {
-					hi := min(lo+keyedBenchChunk, len(vs))
-					work = append(work, keyed.Batch{Key: keys[k], Values: vs[lo:hi]})
-				}
-			}
-			for _, parts := range partitionList {
-				best := time.Duration(1<<63 - 1)
-				for r := 0; r < reps; r++ {
-					d := keyedOnce(name, parts, writers, work, keys, want)
-					if d < best {
-						best = d
-					}
-				}
-				points = append(points, KeyedPoint{
-					Engine:     name,
-					Partitions: parts,
-					Keys:       nkeys,
-					NsPerOp:    best.Nanoseconds(),
-					MopsPerS:   float64(n) / best.Seconds() / 1e6,
-				})
+	for _, nkeys := range keyCounts {
+		// Deal values round-robin to keys, then chunk each key's run into
+		// keyed batches — and derive the per-key oracle from the same
+		// dealt slices.
+		perKey := make([][]float64, nkeys)
+		for i, x := range xs {
+			k := i % nkeys
+			perKey[k] = append(perKey[k], x)
+		}
+		keys := make([]string, nkeys)
+		want := make([]float64, nkeys)
+		var work []keyed.Batch
+		for k, vs := range perKey {
+			keys[k] = fmt.Sprintf("key-%06d", k)
+			want[k] = core.Sum(vs)
+			for lo := 0; lo < len(vs); lo += keyedBenchChunk {
+				hi := min(lo+keyedBenchChunk, len(vs))
+				work = append(work, keyed.Batch{Key: keys[k], Values: vs[lo:hi]})
 			}
 		}
-		// Speedup baseline: per engine × key count, the lowest measured
-		// partition count.
-		for group := 0; group < len(points); group += len(partitionList) {
-			g := points[group : group+len(partitionList)]
-			base, baseP := int64(0), 0
-			for _, p := range g {
-				if base == 0 || p.Partitions < baseP {
-					base, baseP = p.NsPerOp, p.Partitions
+		for _, parts := range partitionList {
+			best := time.Duration(1<<63 - 1)
+			for r := 0; r < reps; r++ {
+				d := keyedOnce(parts, writers, work, keys, want)
+				if d < best {
+					best = d
 				}
 			}
-			for i := range g {
-				g[i].Speedup = float64(base) / float64(g[i].NsPerOp)
+			snap.Points = append(snap.Points, KeyedPoint{
+				Partitions: parts,
+				Keys:       nkeys,
+				NsPerOp:    best.Nanoseconds(),
+				MopsPerS:   float64(n) / best.Seconds() / 1e6,
+			})
+		}
+	}
+	// Speedup baseline: per key count, the lowest measured partition
+	// count.
+	for group := 0; group < len(snap.Points); group += len(partitionList) {
+		g := snap.Points[group : group+len(partitionList)]
+		base, baseP := int64(0), 0
+		for _, p := range g {
+			if base == 0 || p.Partitions < baseP {
+				base, baseP = p.NsPerOp, p.Partitions
 			}
 		}
-		snap.Points = append(snap.Points, points...)
+		for i := range g {
+			g[i].Speedup = float64(base) / float64(g[i].NsPerOp)
+		}
 	}
 	return snap
 }
@@ -140,11 +130,8 @@ func KeyedBench(n int64, delta int, partitionList, keyCounts []int, engines []st
 // shared cursor, group a small run of them, and AddKeyedBatches the
 // group — then a Snapshot folds every key and the result is verified
 // bit-identical to the per-key oracle.
-func keyedOnce(engineName string, parts, writers int, work []keyed.Batch, keys []string, want []float64) time.Duration {
-	s, err := keyed.New(keyed.Options{Engine: engineName, Partitions: parts})
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
+func keyedOnce(parts, writers int, work []keyed.Batch, keys []string, want []float64) time.Duration {
+	s := keyed.New(keyed.Options{Partitions: parts})
 	const group = 8 // batches grouped per AddKeyedBatches call
 	var next atomic.Int64
 	start := time.Now()
@@ -167,14 +154,14 @@ func keyedOnce(engineName string, parts, writers int, work []keyed.Batch, keys [
 	snap := s.Snapshot()
 	d := time.Since(start)
 	if len(snap) != len(keys) {
-		panic(fmt.Sprintf("bench: keyed %s parts=%d: %d keys served, want %d",
-			engineName, parts, len(snap), len(keys)))
+		panic(fmt.Sprintf("bench: keyed parts=%d: %d keys served, want %d",
+			parts, len(snap), len(keys)))
 	}
 	for k, key := range keys {
 		got, ok := s.Sum(key)
 		if !ok || math.Float64bits(got) != math.Float64bits(want[k]) {
-			panic(fmt.Sprintf("bench: keyed %s parts=%d key=%s: sum %g != sequential %g",
-				engineName, parts, key, got, want[k]))
+			panic(fmt.Sprintf("bench: keyed parts=%d key=%s: sum %g != sequential %g",
+				parts, key, got, want[k]))
 		}
 	}
 	return d
@@ -184,12 +171,12 @@ func keyedOnce(engineName string, parts, writers int, work []keyed.Batch, keys [
 func (s KeyedSnapshot) Table() Table {
 	t := Table{
 		Title:  fmt.Sprintf("T-KEYED — multi-key exact aggregation (n=%d, δ=%d, writers=%d, best of %d)", s.N, s.Delta, s.Writers, s.Reps),
-		XLabel: "engine/partitions/keys",
+		XLabel: "partitions/keys",
 		Series: []string{"time", "Mops/s", "speedup"},
 	}
 	for _, p := range s.Points {
 		t.Rows = append(t.Rows, Row{
-			X: fmt.Sprintf("%s/%d/%d", p.Engine, p.Partitions, p.Keys),
+			X: fmt.Sprintf("%d/%d", p.Partitions, p.Keys),
 			Values: map[string]string{
 				"time":    secs(time.Duration(p.NsPerOp)),
 				"Mops/s":  fmt.Sprintf("%.1f", p.MopsPerS),
@@ -199,7 +186,7 @@ func (s KeyedSnapshot) Table() Table {
 	}
 	t.Notes = append(t.Notes,
 		"values dealt round-robin over the key population, ingested as grouped keyed batches",
-		"every cell's per-key sums verified bit-identical to the sequential engine before timing is reported")
+		"every cell's per-key sums verified bit-identical to the sequential sum before timing is reported")
 	return t
 }
 

@@ -80,19 +80,54 @@ func (a *denseAcc) Sigma() int                          { return a.d.ToSparse().
 // MarshalBinary implements the wire-partial codec for the dense engine.
 func (a *denseAcc) MarshalBinary() ([]byte, error) { return a.d.MarshalBinary() }
 
-// UnmarshalBinary decodes a wire partial, enforcing the engine's canonical
-// digit width: the dense engine always runs at accum.DefaultWidth, and a
-// partial of any other width could not merge with local accumulators.
+// UnmarshalBinary decodes a wire partial at the engine's canonical digit
+// width (see DecodeDense).
 func (a *denseAcc) UnmarshalBinary(data []byte) error {
-	var d accum.Dense
-	if err := d.UnmarshalBinary(data); err != nil {
+	d, err := DecodeDense(data)
+	if err != nil {
 		return err
 	}
-	if d.Width() != a.d.Width() {
-		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineDense, d.Width(), a.d.Width())
-	}
-	*a.d = d
+	*a.d = *d
 	return nil
+}
+
+// DecodeDense decodes a bare dense payload (accum.Dense's own codec, no
+// envelope), enforcing the dense engine's canonical digit width: the
+// engine always runs at accum.DefaultWidth, and a partial of any other
+// width could not merge with local accumulators.
+func DecodeDense(payload []byte) (*accum.Dense, error) {
+	d := new(accum.Dense)
+	if err := d.UnmarshalBinary(payload); err != nil {
+		return nil, err
+	}
+	if d.Width() != accum.DefaultWidth {
+		return nil, fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineDense, d.Width(), accum.DefaultWidth)
+	}
+	return d, nil
+}
+
+// MarshalDensePartial encodes d as an engine wire partial tagged
+// EngineDense — the envelope every service layer ships, byte-identical to
+// a dense Accumulator's.
+func MarshalDensePartial(d *accum.Dense) ([]byte, error) {
+	return engine.MarshalPartial(EngineDense, &denseAcc{d: d})
+}
+
+// UnmarshalDensePartial decodes an engine wire partial that must carry a
+// dense partial at the canonical width. A partial naming any other engine
+// is rejected like any other malformed envelope: the service stack holds
+// only dense accumulators, and the envelope's layout is known only to
+// engine.UnmarshalPartial.
+func UnmarshalDensePartial(data []byte) (*accum.Dense, error) {
+	name, a, err := engine.UnmarshalPartial(data)
+	if err != nil {
+		return nil, err
+	}
+	da, ok := a.(*denseAcc)
+	if !ok {
+		return nil, fmt.Errorf("%w: engine %q partial, want %q", engine.ErrWireInvalid, name, EngineDense)
+	}
+	return da.d, nil
 }
 
 // windowAcc adapts accum.Window to the engine.Accumulator interface.

@@ -10,7 +10,7 @@
 // citing the implementations of Dekker (1971) and Knuth (1997). TwoSum is
 // Knuth's branch-free 6-operation version; FastTwoSum is Dekker's
 // 3-operation version requiring |a| ≥ |b|. These are the substrate for the
-// iFastSum baseline and for the expansion arithmetic used in tests.
+// iFastSum baseline.
 package eft
 
 import "math"

@@ -16,25 +16,26 @@ import (
 	"parsum/internal/shard"
 )
 
-// TestShardedBitIdenticalAcrossShardCounts: for each eligible engine,
-// every shard count in {1,2,4,8} and a seeded-random writer interleaving
-// must reproduce the oracle's bits, including on adversarial inputs.
+// TestShardedBitIdenticalAcrossShardCounts: for each engine that could
+// back sharded ingestion (Streaming and DeterministicParallel), every
+// shard count in {1,2,4,8} and a seeded-random writer interleaving over
+// mutex-guarded per-shard accumulators must reproduce the oracle's bits,
+// including on adversarial inputs. The dense subtest drives shard.Sharded
+// itself, the accumulator behind the service stack.
 func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 	for _, e := range engine.All() {
-		caps := e.Caps()
-		if !caps.Streaming || !caps.DeterministicParallel {
-			if _, err := shard.New(shard.Options{Engine: e.Name()}); err == nil {
-				t.Errorf("shard.New accepted ineligible engine %q", e.Name())
-			}
+		if caps := e.Caps(); !caps.Streaming || !caps.DeterministicParallel {
 			continue
 		}
 		t.Run(e.Name(), func(t *testing.T) {
 			for _, tc := range adversarialCases() {
 				want := oracle.Sum(tc.xs)
 				for _, shards := range []int{1, 2, 4, 8} {
-					s, err := shard.New(shard.Options{Engine: e.Name(), Shards: shards})
-					if err != nil {
-						t.Fatal(err)
+					add, sum := stripedAccumulator(e, shards)
+					if e.Name() == "dense" {
+						s := shard.New(shard.Options{Shards: shards})
+						add = func(_ int, x float64) { s.Add(x) }
+						sum = s.Sum
 					}
 					// Randomized interleaving: a seeded shuffle deals the
 					// input to 2×shards writers in uneven runs.
@@ -47,18 +48,43 @@ func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 						go func(w int) {
 							defer wg.Done()
 							for j := w; j < len(order); j += writers {
-								s.Add(tc.xs[order[j]])
+								add(w, tc.xs[order[j]])
 							}
 						}(w)
 					}
 					wg.Wait()
-					if got := s.Sum(); !bitEqual(got, want) {
+					if got := sum(); !bitEqual(got, want) {
 						t.Fatalf("%s shards=%d: Sum=%g oracle=%g", tc.name, shards, got, want)
 					}
 				}
 			}
 		})
 	}
+}
+
+// stripedAccumulator is sharded ingestion over e's own accumulators:
+// writer w adds into stripe w mod shards under that stripe's lock, and
+// sum merges every stripe into a fresh accumulator and rounds once.
+func stripedAccumulator(e engine.Engine, shards int) (add func(w int, x float64), sum func() float64) {
+	mu := make([]sync.Mutex, shards)
+	parts := make([]engine.Accumulator, shards)
+	for i := range parts {
+		parts[i] = e.NewAccumulator()
+	}
+	add = func(w int, x float64) {
+		i := w % shards
+		mu[i].Lock()
+		parts[i].Add(x)
+		mu[i].Unlock()
+	}
+	sum = func() float64 {
+		total := e.NewAccumulator()
+		for _, p := range parts {
+			total.Merge(p)
+		}
+		return total.Round()
+	}
+	return add, sum
 }
 
 // TestShardedStressMidIngestionSnapshots is the race-enabled stress test:
@@ -69,10 +95,7 @@ func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 // the detector sweep the handoff/recycle protocol under load.
 func TestShardedStressMidIngestionSnapshots(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.SumZero, N: 40000, Delta: 1500, Seed: 77}).Slice()
-	s, err := shard.New(shard.Options{Engine: "dense", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{Shards: 4})
 
 	stop := make(chan struct{})
 	var snapWg sync.WaitGroup

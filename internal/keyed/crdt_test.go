@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"parsum/internal/oracle"
+	"parsum/internal/core"
 )
 
 // TestCRDTConvergence is the keyed store's central claim: per-key exact
@@ -15,9 +15,10 @@ import (
 // pieces — converge to bit-identical per-key sums, specials included.
 // The algebra doing the work: exact merge is commutative and
 // associative, every partial is delivered exactly once, and rounding
-// happens only at the read.
+// happens only at the read. Each subtest checks the converged bits
+// against one exact engine's sequential sum (see refEngines).
 func TestCRDTConvergence(t *testing.T) {
-	for _, eng := range testEngines {
+	for _, eng := range refEngines {
 		t.Run(eng, func(t *testing.T) {
 			r := rand.New(rand.NewSource(11))
 			// Two replicas ingest overlapping key sets with disjoint
@@ -33,8 +34,8 @@ func TestCRDTConvergence(t *testing.T) {
 			localA["only-a"] = []float64{1e-308, 1e-308}
 			localB["only-b"] = []float64{math.MaxFloat64, -math.MaxFloat64 / 2}
 
-			a := mustNew(t, eng, 3)
-			b := mustNew(t, eng, 5)
+			a := New(Options{Partitions: 3})
+			b := New(Options{Partitions: 5})
 			for k, xs := range localA {
 				a.Add(k, xs)
 			}
@@ -62,19 +63,19 @@ func TestCRDTConvergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, blob := range [][]byte{b2, b1} { // A gets B's pieces high-then-low
-				if err := a.ImportMerge(blob); err != nil {
+				if _, err := a.ImportMerge(blob); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for _, blob := range [][]byte{a1, a2} { // B gets A's pieces low-then-high
-				if err := b.ImportMerge(blob); err != nil {
+				if _, err := b.ImportMerge(blob); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// Both replicas now hold the union; their snapshots must be
-			// element- and bit-identical, and match the oracle over the
-			// union multiset per key.
+			// element- and bit-identical, and match the reference
+			// engine's sum of the union multiset per key.
 			snapA, snapB := a.Snapshot(), b.Snapshot()
 			if len(snapA) != len(snapB) {
 				t.Fatalf("replica key counts differ: %d vs %d", len(snapA), len(snapB))
@@ -94,16 +95,16 @@ func TestCRDTConvergence(t *testing.T) {
 				if ab != bb {
 					t.Errorf("key %q: replicas diverged: %x vs %x", snapA[i].Key, ab, bb)
 				}
-				want := oracle.Sum(union[snapA[i].Key])
+				want := core.SumEngine(eng, union[snapA[i].Key])
 				got := snapA[i].Sum
 				if math.IsNaN(want) {
 					if !math.IsNaN(got) {
-						t.Errorf("key %q = %v, oracle NaN", snapA[i].Key, got)
+						t.Errorf("key %q = %v, %s sum NaN", snapA[i].Key, got, eng)
 					}
 					continue
 				}
 				if ab != math.Float64bits(want) {
-					t.Errorf("key %q = %x, oracle %x", snapA[i].Key, ab, math.Float64bits(want))
+					t.Errorf("key %q = %x, %s sum %x", snapA[i].Key, ab, eng, math.Float64bits(want))
 				}
 			}
 
@@ -113,7 +114,7 @@ func TestCRDTConvergence(t *testing.T) {
 			// the exports must predate the exchange; re-exporting now
 			// would double-count. Use fresh exports of the disjoint
 			// locals via a rebuilt pair.
-			fa, fb := mustNew(t, eng, 2), mustNew(t, eng, 2)
+			fa, fb := New(Options{Partitions: 2}), New(Options{Partitions: 2})
 			for k, xs := range localA {
 				fa.Add(k, xs)
 			}
@@ -128,11 +129,11 @@ func TestCRDTConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := mustNew(t, eng, 7)
-			if err := c.ImportMerge(eb); err != nil {
+			c := New(Options{Partitions: 7})
+			if _, err := c.ImportMerge(eb); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.ImportMerge(ea); err != nil {
+			if _, err := c.ImportMerge(ea); err != nil {
 				t.Fatal(err)
 			}
 			snapC := c.Snapshot()
@@ -154,8 +155,8 @@ func TestCRDTConvergence(t *testing.T) {
 // partials of a prefix, and delivering each exactly once still converges
 // both replicas on the final bits.
 func TestConvergenceUnderConcurrentExchange(t *testing.T) {
-	a := mustNew(t, "dense", 4)
-	b := mustNew(t, "dense", 4)
+	a := New(Options{Partitions: 4})
+	b := New(Options{Partitions: 4})
 	r := rand.New(rand.NewSource(33))
 	var historyA, historyB []Batch
 	for round := 0; round < 5; round++ {
@@ -185,10 +186,10 @@ func TestConvergenceUnderConcurrentExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.ImportMerge(eb); err != nil {
+		if _, err := a.ImportMerge(eb); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ImportMerge(ea); err != nil {
+		if _, err := b.ImportMerge(ea); err != nil {
 			t.Fatal(err)
 		}
 		snapA, snapB := a.Snapshot(), b.Snapshot()

@@ -25,7 +25,7 @@ func FuzzKeyedWire(f *testing.F) {
 	// Seed with a valid envelope and its classic mutations so coverage
 	// starts at the interesting branches; more seeds live in
 	// testdata/fuzz/FuzzKeyedWire.
-	s := mustNew(f, "dense", 2)
+	s := New(Options{Partitions: 2})
 	s.Add("ab", []float64{1.5, -0.25})
 	s.Add("c", []float64{math.Inf(1)})
 	valid, err := s.ExportAll()
@@ -42,18 +42,18 @@ func FuzzKeyedWire(f *testing.F) {
 		// Property 1+2: decode arbitrary bytes into a store with prior
 		// state; either it errors and the state is untouched, or it
 		// succeeds and the merged state survives an export/import cycle.
-		dst := mustNew(t, "dense", 3)
+		dst := New(Options{Partitions: 3})
 		dst.Add("prior", []float64{3, 4})
 		before := dst.Snapshot()
-		if err := dst.ImportMerge(blob); err != nil {
+		if _, err := dst.ImportMerge(blob); err != nil {
 			snapshotsEqual(t, before, dst.Snapshot(), "state after rejected fuzz blob")
 		} else {
 			re, err := dst.ExportAll()
 			if err != nil {
 				t.Fatalf("accepted blob but re-export failed: %v", err)
 			}
-			dst2 := mustNew(t, "dense", 1)
-			if err := dst2.ImportMerge(re); err != nil {
+			dst2 := New(Options{Partitions: 1})
+			if _, err := dst2.ImportMerge(re); err != nil {
 				t.Fatalf("re-exported blob rejected: %v", err)
 			}
 			snapshotsEqual(t, dst.Snapshot(), dst2.Snapshot(), "re-export cycle")
@@ -63,7 +63,7 @@ func FuzzKeyedWire(f *testing.F) {
 		// clamped to MaxKeyLen, empties dropped), give each a value
 		// derived from v, and check the wire round trip against the
 		// oracle.
-		src := mustNew(t, "dense", 2)
+		src := New(Options{Partitions: 2})
 		want := make(map[string][]float64)
 		for i, part := range bytes.Split(keyBytes, []byte{0}) {
 			if len(part) == 0 {
@@ -81,8 +81,8 @@ func FuzzKeyedWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("export of fuzz-built store failed: %v", err)
 		}
-		rt := mustNew(t, "dense", 5)
-		if err := rt.ImportMerge(wire); err != nil {
+		rt := New(Options{Partitions: 5})
+		if _, err := rt.ImportMerge(wire); err != nil {
 			t.Fatalf("round trip of fuzz-built store rejected: %v", err)
 		}
 		for key, xs := range want {

@@ -1,11 +1,11 @@
 // Package keyed implements the multi-key exact aggregation store: a
-// hash-partitioned map from string keys to exact accumulators, layered
-// over the same engine seam as internal/shard. Where a Sharded holds one
-// global sum striped across writers, a Store holds millions of
+// hash-partitioned map from string keys to exact accumulators, built on
+// the same dense superaccumulator as internal/shard. Where a Sharded
+// holds one global sum striped across writers, a Store holds millions of
 // independent sums — per-user balances, per-metric series, per-tenant
 // totals — each as exact as the single-sum path: every (key, value)
-// ingestion lands in that key's superaccumulator, merges are carry-free,
-// and rounding happens once per query.
+// ingestion lands in that key's dense superaccumulator, merges are
+// carry-free, and rounding happens once per query.
 //
 // Exact summation is a commutative group, so a Store's per-key partials
 // form a state-based CRDT: two stores that exchange exported partials
@@ -32,26 +32,19 @@ import (
 	"sort"
 	"sync"
 
-	"parsum/internal/core"
-	"parsum/internal/engine"
+	"parsum/internal/accum"
 )
 
 // MaxKeyLen bounds key length everywhere — store operations panic beyond
-// it (a programming error, like engine mismatches) and the wire decoder
+// it (a programming error, like an empty key) and the wire decoder
 // rejects longer keys before allocating. 4 KiB is far beyond any sane
 // metric or tenant identifier while keeping a hostile envelope from
 // claiming gigabyte keys.
 const MaxKeyLen = 4096
 
-// Options configures a Store; the zero value is ready to use (dense
-// engine, one partition per P).
+// Options configures a Store; the zero value is ready to use (one
+// partition per P).
 type Options struct {
-	// Engine names the registered summation engine backing every key's
-	// accumulator; "" means the dense superaccumulator. It must declare
-	// Streaming and DeterministicParallel (the capabilities that make
-	// partitioned accumulation deterministic) and its accumulators must
-	// marshal (partials cross the wire).
-	Engine string
 	// Partitions is the number of independent key stripes; 0 means
 	// GOMAXPROCS. More partitions admit more concurrent writers on
 	// disjoint keys; the key→partition map is an internal detail and
@@ -72,9 +65,10 @@ type KeySum struct {
 	Sum float64
 }
 
-// KeyPartial is one key's exact partial as an engine wire envelope
-// (engine.MarshalPartial) — the JSON-friendly exchange unit; the binary
-// keyed envelope (ExportRange) hoists the engine name and is denser.
+// KeyPartial is one key's exact partial as a dense engine wire envelope
+// (core.MarshalDensePartial) — the JSON-friendly exchange unit; the
+// binary keyed envelope (ExportRange) hoists the engine name and is
+// denser.
 type KeyPartial struct {
 	Key  string `json:"key"`
 	Blob []byte `json:"blob"`
@@ -84,7 +78,7 @@ type KeyPartial struct {
 // padded so neighbouring partitions do not false-share a cache line.
 type partition struct {
 	mu sync.Mutex
-	m  map[string]engine.Accumulator
+	m  map[string]*accum.Dense
 	_  [40]byte // Mutex(8) + map(8) + 40 = 56; close enough to a line
 }
 
@@ -92,59 +86,26 @@ type partition struct {
 // safe for concurrent use. The zero value is not usable; construct with
 // New.
 type Store struct {
-	eng   engine.Engine
-	inv   bool
 	parts []partition
 
 	accPool sync.Pool // recycled empty accumulators (fresh/recycle)
 }
 
-// New returns an empty Store. It errors when the engine is unknown,
-// cannot back deterministic partitioned accumulation (needs Streaming and
-// DeterministicParallel), or cannot marshal wire partials — a keyed store
-// whose state cannot be exchanged would be a silo, not a replica.
-func New(opt Options) (*Store, error) {
-	name := opt.Engine
-	if name == "" {
-		name = core.EngineDense
-	}
-	e, ok := engine.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("keyed: unknown engine %q (registered: %v)", name, engine.Names())
-	}
-	if caps := e.Caps(); !caps.Streaming || !caps.DeterministicParallel {
-		return nil, fmt.Errorf("keyed: engine %q cannot back a keyed store (needs Streaming and DeterministicParallel; has Streaming=%v DeterministicParallel=%v)",
-			name, caps.Streaming, caps.DeterministicParallel)
-	}
-	if !engine.CanMarshal(e) {
-		return nil, fmt.Errorf("keyed: engine %q cannot marshal wire partials", name)
-	}
+// New returns an empty Store.
+func New(opt Options) *Store {
 	n := opt.Partitions
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s := &Store{eng: e, inv: e.Caps().Invertible, parts: make([]partition, n)}
+	s := &Store{parts: make([]partition, n)}
 	for i := range s.parts {
-		s.parts[i].m = make(map[string]engine.Accumulator)
+		s.parts[i].m = make(map[string]*accum.Dense)
 	}
-	return s, nil
+	return s
 }
-
-// Engine returns the name of the backing engine.
-func (s *Store) Engine() string { return s.eng.Name() }
 
 // Partitions returns the number of key stripes.
 func (s *Store) Partitions() int { return len(s.parts) }
-
-// Invertible reports whether the backing engine supports exact deletion
-// (Sub). All the superaccumulator engines do.
-func (s *Store) Invertible() bool { return s.inv }
-
-func (s *Store) checkInvertible() {
-	if !s.inv {
-		panic(fmt.Sprintf("keyed: engine %q is not invertible (no exact deletion)", s.eng.Name()))
-	}
-}
 
 // checkKey rejects the keys no store operation accepts: empty, or longer
 // than MaxKeyLen. Both are programming errors at this layer — the
@@ -169,21 +130,21 @@ func (s *Store) part(key string) *partition {
 	return &s.parts[h%uint64(len(s.parts))]
 }
 
-func (s *Store) fresh() engine.Accumulator {
+func (s *Store) fresh() *accum.Dense {
 	if v := s.accPool.Get(); v != nil {
-		return v.(engine.Accumulator)
+		return v.(*accum.Dense)
 	}
-	return s.eng.NewAccumulator()
+	return accum.NewDense(0)
 }
 
-func (s *Store) recycle(a engine.Accumulator) {
+func (s *Store) recycle(a *accum.Dense) {
 	a.Reset()
 	s.accPool.Put(a)
 }
 
 // acc returns key's accumulator inside p, creating it if absent. Caller
 // holds p.mu.
-func (s *Store) acc(p *partition, key string) engine.Accumulator {
+func (s *Store) acc(p *partition, key string) *accum.Dense {
 	a, ok := p.m[key]
 	if !ok {
 		a = s.fresh()
@@ -205,13 +166,12 @@ func (s *Store) Add(key string, xs []float64) {
 
 // Sub deletes every element of xs exactly from key's accumulator — the
 // group inverse of Add, registering the key if absent (a net deletion is
-// a legal group element). Panics when the engine is not Invertible.
+// a legal group element).
 func (s *Store) Sub(key string, xs []float64) {
-	s.checkInvertible()
 	checkKey(key)
 	p := s.part(key)
 	p.mu.Lock()
-	s.acc(p, key).(engine.Inverter).SubSlice(xs)
+	s.acc(p, key).SubSlice(xs)
 	p.mu.Unlock()
 }
 
@@ -235,7 +195,7 @@ func (s *Store) Sum(key string) (float64, bool) {
 // freely — the anti-entropy repairer diffs donor and replica clones
 // (donor − replica) to compute the exact correction partial without
 // holding any store lock during the arithmetic.
-func (s *Store) CloneAcc(key string) (engine.Accumulator, bool) {
+func (s *Store) CloneAcc(key string) (*accum.Dense, bool) {
 	checkKey(key)
 	p := s.part(key)
 	p.mu.Lock()
@@ -349,9 +309,8 @@ func (s *Store) AddKeyedBatches(bs []Batch) {
 
 // SubKeyedBatches deletes a whole group of keyed batches, grouped by
 // partition like AddKeyedBatches — the deletion half of the keyed flush
-// entry point. Panics when the engine is not Invertible.
+// entry point.
 func (s *Store) SubKeyedBatches(bs []Batch) {
-	s.checkInvertible()
 	s.applyGrouped(bs, true)
 }
 
@@ -375,7 +334,7 @@ func (s *Store) applyGrouped(bs []Batch, sub bool) {
 		for _, b := range group {
 			a := s.acc(p, b.Key)
 			if sub {
-				a.(engine.Inverter).SubSlice(b.Values)
+				a.SubSlice(b.Values)
 			} else {
 				a.AddSlice(b.Values)
 			}
@@ -385,15 +344,11 @@ func (s *Store) applyGrouped(bs []Batch, sub bool) {
 }
 
 // Merge folds every key of o into s (creating missing keys); o is
-// unchanged and remains usable. Both stores must share an engine; mixing
-// engines panics like Accumulator.Merge. Merging is the in-process form
-// of ImportMerge(o.ExportAll()) and obeys the same CRDT algebra.
+// unchanged and remains usable. Merging is the in-process form of
+// ImportMerge(o.ExportAll()) and obeys the same CRDT algebra.
 func (s *Store) Merge(o *Store) {
 	if s == o {
 		panic("keyed: Merge of a Store with itself")
-	}
-	if s.eng.Name() != o.eng.Name() {
-		panic(fmt.Sprintf("keyed: engine mismatch in Merge (%s vs %s)", s.eng.Name(), o.eng.Name()))
 	}
 	for i := range o.parts {
 		op := &o.parts[i]

@@ -7,26 +7,18 @@ import (
 	"sync"
 	"testing"
 
-	"parsum/internal/engine"
+	"parsum/internal/core"
 	"parsum/internal/oracle"
 )
 
-// engines every keyed test sweeps: the four wire-capable superaccumulator
-// engines.
-var testEngines = []string{"dense", "sparse", "small", "large"}
+// refEngines are the exact engines whose sequential sums the store's
+// bits are checked against. The store itself is always dense; sweeping
+// the references shows every exact representation agrees on every key.
+var refEngines = []string{"dense", "sparse", "small", "large"}
 
 // partitionCounts exercises the degenerate single-partition store, a
 // power of two, and an odd count that makes the modulo non-trivial.
 var partitionCounts = []int{1, 4, 7}
-
-func mustNew(t testing.TB, eng string, parts int) *Store {
-	t.Helper()
-	s, err := New(Options{Engine: eng, Partitions: parts})
-	if err != nil {
-		t.Fatalf("New(%q, %d): %v", eng, parts, err)
-	}
-	return s
-}
 
 // testValues returns a per-key multiset over nKeys keys with wide
 // exponent spread, denormals, and exact cancellations.
@@ -46,10 +38,10 @@ func testValues(r *rand.Rand, nKeys, perKey int) map[string][]float64 {
 }
 
 func TestAddSumPerKeyBitIdentical(t *testing.T) {
-	for _, eng := range testEngines {
+	for _, eng := range refEngines {
 		for _, parts := range partitionCounts {
 			t.Run(fmt.Sprintf("%s/p%d", eng, parts), func(t *testing.T) {
-				s := mustNew(t, eng, parts)
+				s := New(Options{Partitions: parts})
 				data := testValues(rand.New(rand.NewSource(1)), 20, 40)
 				// Interleave ingestion across keys in small pieces.
 				for off := 0; ; off += 7 {
@@ -70,9 +62,9 @@ func TestAddSumPerKeyBitIdentical(t *testing.T) {
 					if !ok {
 						t.Fatalf("key %q missing", key)
 					}
-					want := oracle.Sum(xs)
+					want := core.SumEngine(eng, xs)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("Sum(%q) = %x, oracle %x", key, math.Float64bits(got), math.Float64bits(want))
+						t.Errorf("Sum(%q) = %x, %s sum %x", key, math.Float64bits(got), eng, math.Float64bits(want))
 					}
 				}
 				if n := s.Len(); n != len(data) {
@@ -84,7 +76,7 @@ func TestAddSumPerKeyBitIdentical(t *testing.T) {
 }
 
 func TestMissingAndEmptyKeys(t *testing.T) {
-	s := mustNew(t, "dense", 4)
+	s := New(Options{Partitions: 4})
 	if v, ok := s.Sum("nope"); ok || v != 0 {
 		t.Errorf("Sum of missing key = (%v, %v), want (0, false)", v, ok)
 	}
@@ -100,7 +92,7 @@ func TestMissingAndEmptyKeys(t *testing.T) {
 }
 
 func TestSubIsExactDeletion(t *testing.T) {
-	s := mustNew(t, "dense", 3)
+	s := New(Options{Partitions: 3})
 	xs := []float64{1e300, -1e300, 3.5, 5e-324, math.Inf(1)}
 	noise := []float64{2.25, -1e-30, math.Inf(1), math.NaN()}
 	s.Add("k", xs)
@@ -124,7 +116,7 @@ func TestSnapshotDeterministicAcrossPartitionsAndOrder(t *testing.T) {
 	data := testValues(rand.New(rand.NewSource(2)), 30, 20)
 	var ref []KeySum
 	for i, parts := range []int{1, 4, 7} {
-		s := mustNew(t, "dense", parts)
+		s := New(Options{Partitions: parts})
 		// Different ingestion order per store: forward, backward, shuffled
 		// split points — same per-key multiset.
 		keys := make([]string, 0, len(data))
@@ -156,7 +148,7 @@ func TestSnapshotDeterministicAcrossPartitionsAndOrder(t *testing.T) {
 }
 
 func TestKeysRangeAndDeleteRange(t *testing.T) {
-	s := mustNew(t, "dense", 4)
+	s := New(Options{Partitions: 4})
 	for _, k := range []string{"b", "a", "d", "c", "e"} {
 		s.Add(k, []float64{1})
 	}
@@ -193,8 +185,8 @@ func TestKeysRangeAndDeleteRange(t *testing.T) {
 func TestGroupedBatchesMatchIndividualOps(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var adds, subs []Batch
-	individual := mustNew(t, "dense", 5)
-	grouped := mustNew(t, "dense", 5)
+	individual := New(Options{Partitions: 5})
+	grouped := New(Options{Partitions: 5})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%02d", r.Intn(25))
 		xs := make([]float64, 1+r.Intn(8))
@@ -225,8 +217,8 @@ func TestGroupedBatchesMatchIndividualOps(t *testing.T) {
 }
 
 func TestMergeStores(t *testing.T) {
-	a := mustNew(t, "dense", 3)
-	b := mustNew(t, "dense", 5)
+	a := New(Options{Partitions: 3})
+	b := New(Options{Partitions: 5})
 	a.Add("shared", []float64{1e100, 1})
 	a.Add("only-a", []float64{2})
 	b.Add("shared", []float64{-1e100})
@@ -253,7 +245,7 @@ func TestConcurrentKeyedIngestion(t *testing.T) {
 	// Run under -race this also proves lock coverage.
 	for _, parts := range partitionCounts {
 		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
-			s := mustNew(t, "dense", parts)
+			s := New(Options{Partitions: parts})
 			const writers, perWriter, nKeys = 8, 300, 11
 			// Every writer adds deterministic values to key (i % nKeys);
 			// the multiset per key is then known without coordination.
@@ -291,39 +283,8 @@ func TestConcurrentKeyedIngestion(t *testing.T) {
 	}
 }
 
-func TestNewRejectsUnusableEngines(t *testing.T) {
-	if _, err := New(Options{Engine: "no-such-engine"}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	// kahan is registered but not streaming/deterministic-parallel.
-	if _, err := New(Options{Engine: "kahan"}); err == nil {
-		t.Error("non-streaming engine accepted")
-	}
-	// A streaming, deterministic-parallel engine whose accumulators
-	// cannot marshal cannot back a keyed store: its state could never be
-	// exchanged.
-	engine.Register(engine.New("keyed-test-nomarshal",
-		"test stub: streams but cannot marshal",
-		engine.Caps{Streaming: true, DeterministicParallel: true},
-		func(xs []float64) float64 { return 0 },
-		func() engine.Accumulator { return &stubAcc{} }))
-	if _, err := New(Options{Engine: "keyed-test-nomarshal"}); err == nil {
-		t.Error("non-marshalable engine accepted")
-	}
-}
-
-// stubAcc is a do-nothing accumulator without the binary codec.
-type stubAcc struct{}
-
-func (*stubAcc) Add(float64)                 {}
-func (*stubAcc) AddSlice([]float64)          {}
-func (*stubAcc) Merge(engine.Accumulator)    {}
-func (*stubAcc) Round() float64              { return 0 }
-func (*stubAcc) Reset()                      {}
-func (s *stubAcc) Clone() engine.Accumulator { return s }
-
 func TestKeyValidationPanics(t *testing.T) {
-	s := mustNew(t, "dense", 2)
+	s := New(Options{Partitions: 2})
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -340,6 +301,4 @@ func TestKeyValidationPanics(t *testing.T) {
 	}
 	mustPanic("oversized key", func() { s.Add(string(long), []float64{1}) })
 	mustPanic("self-merge", func() { s.Merge(s) })
-	o := mustNew(t, "sparse", 2)
-	mustPanic("engine-mismatched merge", func() { s.Merge(o) })
 }

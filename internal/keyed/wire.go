@@ -1,45 +1,47 @@
 package keyed
 
 import (
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 
-	"parsum/internal/engine"
+	"parsum/internal/accum"
+	"parsum/internal/core"
 )
 
 // Keyed wire envelope: the frame a set of per-key exact partials travels
 // in between stores — the unit of key-range rebalancing and anti-entropy
-// replication. It extends the PR-3 single-partial envelope the way the
+// replication. It extends the single-partial engine envelope the way the
 // store extends the single accumulator: the engine name is hoisted once
-// (every entry shares it), then each entry is a length-prefixed key plus
-// that key's accumulator payload in the accumulator's own binary codec.
+// (every entry shares it; a store always writes "dense" and rejects any
+// other name), then each entry is a length-prefixed key plus that key's
+// dense payload in accum.Dense's own binary codec.
 //
 // Layout (little-endian varints):
 //
 //	magic   byte = 0xC9
 //	version byte = 1
 //	engLen  byte (1..255)
-//	engine  engLen bytes (registry name, shared by every entry)
+//	engine  engLen bytes ("dense", shared by every entry)
 //	count   uvarint (number of entries)
 //	count × {
 //	  keyLen  uvarint (1..MaxKeyLen)
 //	  key     keyLen bytes
 //	  payLen  uvarint
-//	  payload payLen bytes (the accumulator's own MarshalBinary encoding)
+//	  payload payLen bytes (accum.Dense's MarshalBinary encoding)
 //	}
 //
 // ExportRange emits entries sorted by key, so equal per-key state
-// produces byte-identical blobs. Decoding is hardened like the PR-3
-// codec: every length is checked against the bytes actually remaining
+// produces byte-identical blobs. Decoding is hardened like the engine
+// envelope's codec: every length is checked against the bytes actually remaining
 // before anything is allocated, keys beyond MaxKeyLen are rejected, and
 // the claimed entry count is bounded by the payload size — arbitrary
 // untrusted bytes can neither panic the decoder nor make it allocate
 // more than O(len(data)). ImportMerge additionally decodes and validates
-// the entire envelope before touching any partition, so a malformed or
-// engine-mismatched blob leaves the store bit-for-bit unchanged.
+// the entire envelope before touching any partition, so a malformed blob
+// — including one naming an engine other than dense — leaves the store
+// bit-for-bit unchanged.
 const (
 	keyedMagic   = 0xC9
 	keyedVersion = 1
@@ -50,10 +52,6 @@ const (
 var (
 	ErrWireTruncated = errors.New("keyed: truncated keyed envelope")
 	ErrWireInvalid   = errors.New("keyed: invalid keyed envelope")
-	// ErrEngineMismatch is returned by ImportMerge and MergeKeyPartials
-	// when a partial was produced under a different engine than the
-	// store's.
-	ErrEngineMismatch = errors.New("keyed: partial engine does not match store engine")
 )
 
 // ExportAll returns the whole store as one keyed envelope — the
@@ -79,7 +77,7 @@ func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
 			if k < lo || (hi != "" && k >= hi) {
 				continue
 			}
-			blob, err := a.(encoding.BinaryMarshaler).MarshalBinary()
+			blob, err := a.MarshalBinary()
 			if err != nil {
 				p.mu.Unlock()
 				return nil, fmt.Errorf("keyed: marshaling key %q: %w", k, err)
@@ -90,7 +88,7 @@ func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 
-	name := s.eng.Name()
+	name := core.EngineDense
 	size := 3 + len(name) + binary.MaxVarintLen64
 	for _, e := range entries {
 		size += 2*binary.MaxVarintLen64 + len(e.key) + len(e.blob)
@@ -112,44 +110,39 @@ func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
 // holding its partial.
 type wireEntry struct {
 	key string
-	acc engine.Accumulator
+	acc *accum.Dense
 }
 
 // decodeEnvelope validates a keyed envelope end to end and returns the
 // decoded entries. Nothing is returned on any error, and every length is
 // checked against the remaining bytes before allocation.
-func decodeEnvelope(data []byte) (engineName string, entries []wireEntry, err error) {
+func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 	if len(data) < 3 {
-		return "", nil, ErrWireTruncated
+		return nil, ErrWireTruncated
 	}
 	if data[0] != keyedMagic {
-		return "", nil, fmt.Errorf("%w: bad magic %#x", ErrWireInvalid, data[0])
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrWireInvalid, data[0])
 	}
 	if data[1] != keyedVersion {
-		return "", nil, fmt.Errorf("%w: unsupported version %d", ErrWireInvalid, data[1])
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrWireInvalid, data[1])
 	}
 	nameLen := int(data[2])
 	if nameLen == 0 {
-		return "", nil, fmt.Errorf("%w: empty engine name", ErrWireInvalid)
+		return nil, fmt.Errorf("%w: empty engine name", ErrWireInvalid)
 	}
 	if len(data) < 3+nameLen {
-		return "", nil, ErrWireTruncated
+		return nil, ErrWireTruncated
 	}
-	engineName = string(data[3 : 3+nameLen])
-	e, ok := engine.Get(engineName)
-	if !ok {
-		return engineName, nil, fmt.Errorf("%w: unknown engine %q (registered: %v)", ErrWireInvalid, engineName, engine.Names())
-	}
-	if !engine.CanMarshal(e) {
-		return engineName, nil, fmt.Errorf("%w: engine %q cannot decode wire partials", ErrWireInvalid, engineName)
+	if name := string(data[3 : 3+nameLen]); name != core.EngineDense {
+		return nil, fmt.Errorf("%w: engine %q, want %q", ErrWireInvalid, name, core.EngineDense)
 	}
 	rest := data[3+nameLen:]
 	count, n := binary.Uvarint(rest)
 	if n == 0 {
-		return engineName, nil, ErrWireTruncated
+		return nil, ErrWireTruncated
 	}
 	if n < 0 {
-		return engineName, nil, fmt.Errorf("%w: entry count varint overflows uint64", ErrWireInvalid)
+		return nil, fmt.Errorf("%w: entry count varint overflows uint64", ErrWireInvalid)
 	}
 	rest = rest[n:]
 	// The smallest possible entry is 4 bytes (keyLen=1 varint, 1 key
@@ -158,42 +151,42 @@ func decodeEnvelope(data []byte) (engineName string, entries []wireEntry, err er
 	// could hold is hostile, and rejecting it here bounds the entries
 	// allocation by O(len(data)).
 	if count > uint64(len(rest))/4+1 {
-		return engineName, nil, fmt.Errorf("%w: %d entries claimed but only %d bytes follow", ErrWireTruncated, count, len(rest))
+		return nil, fmt.Errorf("%w: %d entries claimed but only %d bytes follow", ErrWireTruncated, count, len(rest))
 	}
 	entries = make([]wireEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		keyLen, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return engineName, nil, badVarint(n, "key length")
+			return nil, badVarint(n, "key length")
 		}
 		rest = rest[n:]
 		if keyLen == 0 || keyLen > MaxKeyLen {
-			return engineName, nil, fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, keyLen, MaxKeyLen)
+			return nil, fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, keyLen, MaxKeyLen)
 		}
 		if uint64(len(rest)) < keyLen {
-			return engineName, nil, ErrWireTruncated
+			return nil, ErrWireTruncated
 		}
 		key := string(rest[:keyLen])
 		rest = rest[keyLen:]
 		payLen, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return engineName, nil, badVarint(n, "payload length")
+			return nil, badVarint(n, "payload length")
 		}
 		rest = rest[n:]
 		if uint64(len(rest)) < payLen {
-			return engineName, nil, ErrWireTruncated
+			return nil, ErrWireTruncated
 		}
-		acc := e.NewAccumulator()
-		if err := acc.(encoding.BinaryUnmarshaler).UnmarshalBinary(rest[:payLen]); err != nil {
-			return engineName, nil, fmt.Errorf("keyed: entry %q: %w", key, err)
+		acc, err := core.DecodeDense(rest[:payLen])
+		if err != nil {
+			return nil, fmt.Errorf("keyed: entry %q: %w", key, err)
 		}
 		rest = rest[payLen:]
 		entries = append(entries, wireEntry{key: key, acc: acc})
 	}
 	if len(rest) != 0 {
-		return engineName, nil, fmt.Errorf("%w: %d trailing bytes", ErrWireInvalid, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireInvalid, len(rest))
 	}
-	return engineName, entries, nil
+	return entries, nil
 }
 
 func badVarint(n int, what string) error {
@@ -203,25 +196,22 @@ func badVarint(n int, what string) error {
 	return fmt.Errorf("%w: %s varint overflows uint64", ErrWireInvalid, what)
 }
 
-// ImportMerge decodes a keyed envelope and folds every entry into the
-// store, creating missing keys — the reducer half of the keyed exchange.
-// Like Sharded.MergeBytes it returns errors rather than panicking: the
-// payload is remote input. The entire envelope is decoded and validated
-// before any partition is touched, so a malformed or engine-mismatched
-// blob leaves the store bit-for-bit unchanged. Merging is exact and
-// commutative; importing the same set of exported partials in any order
-// converges every key to bit-identical sums (the CRDT property —
-// entries for the same key, within or across envelopes, simply add).
-func (s *Store) ImportMerge(data []byte) error {
-	name, entries, err := decodeEnvelope(data)
+// ImportMerge decodes a keyed envelope, folds every entry into the store
+// (creating missing keys), and returns how many entries it merged — the
+// reducer half of the keyed exchange. Like Sharded.MergeBytes it returns
+// errors rather than panicking: the payload is remote input. The entire
+// envelope is decoded and validated before any partition is touched, so
+// a malformed blob leaves the store bit-for-bit unchanged. Merging is
+// exact and commutative; importing the same set of exported partials in
+// any order converges every key to bit-identical sums (the CRDT property
+// — entries for the same key, within or across envelopes, simply add).
+func (s *Store) ImportMerge(data []byte) (int, error) {
+	entries, err := decodeEnvelope(data)
 	if err != nil {
-		return err
-	}
-	if name != s.eng.Name() {
-		return fmt.Errorf("%w (partial %q, store %q)", ErrEngineMismatch, name, s.eng.Name())
+		return 0, err
 	}
 	s.mergeEntries(entries)
-	return nil
+	return len(entries), nil
 }
 
 // mergeEntries folds fully validated entries in, one partition-lock
@@ -241,12 +231,11 @@ func (s *Store) mergeEntries(entries []wireEntry) {
 	}
 }
 
-// ExportPartials returns the keys in [lo, hi) as per-key engine wire
-// envelopes (engine.MarshalPartial), sorted by key — the JSON-friendly
-// form of ExportRange, each entry independently mergeable by any PR-3
-// consumer.
+// ExportPartials returns the keys in [lo, hi) as per-key dense engine
+// wire envelopes (core.MarshalDensePartial), sorted by key — the
+// JSON-friendly form of ExportRange, each entry independently mergeable
+// by any consumer of engine wire partials.
 func (s *Store) ExportPartials(lo, hi string) ([]KeyPartial, error) {
-	name := s.eng.Name()
 	var out []KeyPartial
 	for i := range s.parts {
 		p := &s.parts[i]
@@ -255,7 +244,7 @@ func (s *Store) ExportPartials(lo, hi string) ([]KeyPartial, error) {
 			if k < lo || (hi != "" && k >= hi) {
 				continue
 			}
-			blob, err := engine.MarshalPartial(name, a)
+			blob, err := core.MarshalDensePartial(a)
 			if err != nil {
 				p.mu.Unlock()
 				return nil, fmt.Errorf("keyed: marshaling key %q: %w", k, err)
@@ -270,8 +259,8 @@ func (s *Store) ExportPartials(lo, hi string) ([]KeyPartial, error) {
 
 // MergeKeyPartials folds a set of per-key engine envelopes in — the push
 // half of the JSON keyed exchange. Every entry is decoded and validated
-// (including key bounds and engine match) before any partition is
-// touched, preserving the malformed-input-leaves-state-unchanged
+// (including key bounds and the dense engine tag) before any partition
+// is touched, preserving the malformed-input-leaves-state-unchanged
 // contract of ImportMerge.
 func (s *Store) MergeKeyPartials(ps []KeyPartial) error {
 	entries := make([]wireEntry, 0, len(ps))
@@ -279,12 +268,9 @@ func (s *Store) MergeKeyPartials(ps []KeyPartial) error {
 		if kp.Key == "" || len(kp.Key) > MaxKeyLen {
 			return fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, len(kp.Key), MaxKeyLen)
 		}
-		name, acc, err := engine.UnmarshalPartial(kp.Blob)
+		acc, err := core.UnmarshalDensePartial(kp.Blob)
 		if err != nil {
 			return fmt.Errorf("keyed: entry %q: %w", kp.Key, err)
-		}
-		if name != s.eng.Name() {
-			return fmt.Errorf("%w (partial %q for key %q, store %q)", ErrEngineMismatch, name, kp.Key, s.eng.Name())
 		}
 		entries = append(entries, wireEntry{key: kp.Key, acc: acc})
 	}

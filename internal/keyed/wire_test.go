@@ -2,6 +2,8 @@ package keyed
 
 import (
 	"bytes"
+	"encoding"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -9,8 +11,9 @@ import (
 	"runtime"
 	"testing"
 
+	"parsum/internal/accum"
+	"parsum/internal/core"
 	"parsum/internal/engine"
-	"parsum/internal/oracle"
 )
 
 func snapshotsEqual(t *testing.T, a, b []KeySum, label string) {
@@ -26,9 +29,9 @@ func snapshotsEqual(t *testing.T, a, b []KeySum, label string) {
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
-	for _, eng := range testEngines {
+	for _, eng := range refEngines {
 		t.Run(eng, func(t *testing.T) {
-			src := mustNew(t, eng, 4)
+			src := New(Options{Partitions: 4})
 			data := testValues(rand.New(rand.NewSource(7)), 15, 25)
 			for key, xs := range data {
 				src.Add(key, xs)
@@ -39,8 +42,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst := mustNew(t, eng, 7) // different partition count on purpose
-			if err := dst.ImportMerge(blob); err != nil {
+			dst := New(Options{Partitions: 7}) // different partition count on purpose
+			if _, err := dst.ImportMerge(blob); err != nil {
 				t.Fatal(err)
 			}
 			snapshotsEqual(t, src.Snapshot(), dst.Snapshot(), "round trip")
@@ -49,8 +52,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 				if !ok {
 					t.Fatalf("imported key %q missing", key)
 				}
-				if want := oracle.Sum(xs); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("imported Sum(%q) = %x, oracle %x", key, math.Float64bits(got), math.Float64bits(want))
+				if want := core.SumEngine(eng, xs); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("imported Sum(%q) = %x, %s sum %x", key, math.Float64bits(got), eng, math.Float64bits(want))
 				}
 			}
 			if v, _ := dst.Sum("specials"); !math.IsInf(v, 1) {
@@ -71,7 +74,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 func TestExportRangeSelectsAndRebalances(t *testing.T) {
-	src := mustNew(t, "dense", 4)
+	src := New(Options{Partitions: 4})
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		src.Add(k, []float64{float64(k[0])})
 	}
@@ -79,9 +82,9 @@ func TestExportRangeSelectsAndRebalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mustNew(t, "dense", 2)
-	if err := dst.ImportMerge(blob); err != nil {
-		t.Fatal(err)
+	dst := New(Options{Partitions: 2})
+	if n, err := dst.ImportMerge(blob); err != nil || n != 2 {
+		t.Fatalf("ImportMerge = (%d, %v), want (2, nil)", n, err)
 	}
 	if got := dst.Keys(); len(got) != 2 || got[0] != "b" || got[1] != "c" {
 		t.Fatalf("imported range keys = %v, want [b c]", got)
@@ -101,32 +104,57 @@ func TestExportRangeSelectsAndRebalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ImportMerge(empty); err != nil {
-		t.Errorf("empty-range envelope rejected: %v", err)
+	if n, err := dst.ImportMerge(empty); err != nil || n != 0 {
+		t.Errorf("empty-range envelope: ImportMerge = (%d, %v), want (0, nil)", n, err)
 	}
 }
 
+// TestImportMergeRejectsEngineMismatchUntouched: a store holds only dense
+// accumulators, so a well-formed envelope of any other engine — and a
+// dense one at a width the store does not run — is malformed input:
+// rejected with ErrWireInvalid, the store bit-for-bit unchanged.
 func TestImportMergeRejectsEngineMismatchUntouched(t *testing.T) {
-	src := mustNew(t, "sparse", 2)
-	src.Add("k", []float64{1, 2})
-	blob, err := src.ExportAll()
+	dst := New(Options{Partitions: 2})
+	dst.Add("k", []float64{10})
+	before := dst.Snapshot()
+	for _, name := range []string{"sparse", "small", "large"} {
+		acc := engine.MustGet(name).NewAccumulator()
+		acc.AddSlice([]float64{1, 2})
+		blob := foreignEnvelope(t, name, "k", acc.(encoding.BinaryMarshaler))
+		if _, err := dst.ImportMerge(blob); !errors.Is(err, ErrWireInvalid) {
+			t.Fatalf("%s envelope: err = %v, want ErrWireInvalid", name, err)
+		}
+	}
+	narrow := accum.NewDense(16)
+	narrow.Add(1)
+	if _, err := dst.ImportMerge(foreignEnvelope(t, "dense", "k", narrow)); err == nil {
+		t.Fatal("dense envelope at width 16 accepted")
+	}
+	snapshotsEqual(t, before, dst.Snapshot(), "state after rejected envelopes")
+}
+
+// foreignEnvelope builds a well-formed single-entry keyed envelope tagged
+// with engine name whose payload is m's own encoding — the envelope a
+// store backed by another representation would export.
+func foreignEnvelope(t *testing.T, name, key string, m encoding.BinaryMarshaler) []byte {
+	t.Helper()
+	payload, err := m.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mustNew(t, "dense", 2)
-	dst.Add("k", []float64{10})
-	before := dst.Snapshot()
-	if err := dst.ImportMerge(blob); !errors.Is(err, ErrEngineMismatch) {
-		t.Fatalf("engine mismatch: err = %v, want ErrEngineMismatch", err)
-	}
-	snapshotsEqual(t, before, dst.Snapshot(), "state after rejected mismatch")
+	buf := append([]byte{keyedMagic, keyedVersion, byte(len(name))}, name...)
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	return append(buf, payload...)
 }
 
 // validEnvelope builds a well-formed single-entry dense envelope to
 // mutate in the malformed-payload table.
 func validEnvelope(t *testing.T) []byte {
 	t.Helper()
-	s := mustNew(t, "dense", 1)
+	s := New(Options{Partitions: 1})
 	s.Add("ab", []float64{1.5, -0.25})
 	blob, err := s.ExportAll()
 	if err != nil {
@@ -184,10 +212,10 @@ func TestMalformedEnvelopesRejectedStateUntouched(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := mustNew(t, "dense", 2)
+			s := New(Options{Partitions: 2})
 			s.Add("existing", []float64{42})
 			before := s.Snapshot()
-			if err := s.ImportMerge(tc.data); err == nil {
+			if _, err := s.ImportMerge(tc.data); err == nil {
 				t.Fatalf("malformed envelope accepted: % x", tc.data)
 			}
 			snapshotsEqual(t, before, s.Snapshot(), "state after rejected envelope")
@@ -199,7 +227,7 @@ func TestMalformedEnvelopesRejectedStateUntouched(t *testing.T) {
 // an envelope whose first entry is valid but whose second is broken must
 // merge nothing.
 func TestPartialEnvelopeFailureIsAtomic(t *testing.T) {
-	src := mustNew(t, "dense", 1)
+	src := New(Options{Partitions: 1})
 	src.Add("aa", []float64{1})
 	src.Add("bb", []float64{2})
 	blob, err := src.ExportAll()
@@ -210,10 +238,10 @@ func TestPartialEnvelopeFailureIsAtomic(t *testing.T) {
 	// while the first decodes cleanly.
 	blob = blob[:len(blob)-1]
 
-	dst := mustNew(t, "dense", 2)
+	dst := New(Options{Partitions: 2})
 	dst.Add("aa", []float64{10})
 	before := dst.Snapshot()
-	if err := dst.ImportMerge(blob); err == nil {
+	if _, err := dst.ImportMerge(blob); err == nil {
 		t.Fatal("truncated two-entry envelope accepted")
 	}
 	snapshotsEqual(t, before, dst.Snapshot(), "state after partially valid envelope")
@@ -225,11 +253,11 @@ func TestPartialEnvelopeFailureIsAtomic(t *testing.T) {
 func TestHostileCountNoHugeAlloc(t *testing.T) {
 	payload := append(append([]byte{keyedMagic, keyedVersion, 5}, "dense"...),
 		0x80, 0x80, 0x80, 0x08) // count = 2^24, no entry bytes at all
-	s := mustNew(t, "dense", 1)
+	s := New(Options{Partitions: 1})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if err := s.ImportMerge(payload); err == nil {
+	if _, err := s.ImportMerge(payload); err == nil {
 		t.Fatal("hostile count accepted")
 	}
 	runtime.ReadMemStats(&after)
@@ -239,7 +267,7 @@ func TestHostileCountNoHugeAlloc(t *testing.T) {
 }
 
 func TestKeyPartialsJSONPath(t *testing.T) {
-	src := mustNew(t, "dense", 3)
+	src := New(Options{Partitions: 3})
 	src.Add("x", []float64{1e-300, 1e300})
 	src.Add("y", []float64{math.Inf(-1)})
 	ps, err := src.ExportPartials("", "")
@@ -249,20 +277,20 @@ func TestKeyPartialsJSONPath(t *testing.T) {
 	if len(ps) != 2 || ps[0].Key != "x" || ps[1].Key != "y" {
 		t.Fatalf("ExportPartials = %v keys, want sorted [x y]", len(ps))
 	}
-	// Each blob is an ordinary PR-3 engine envelope.
+	// Each blob is an ordinary dense engine envelope.
 	for _, p := range ps {
 		if name, _, err := engine.UnmarshalPartial(p.Blob); err != nil || name != "dense" {
 			t.Fatalf("entry %q is not a dense engine envelope: %v", p.Key, err)
 		}
 	}
-	dst := mustNew(t, "dense", 5)
+	dst := New(Options{Partitions: 5})
 	if err := dst.MergeKeyPartials(ps); err != nil {
 		t.Fatal(err)
 	}
 	snapshotsEqual(t, src.Snapshot(), dst.Snapshot(), "JSON-path round trip")
 
 	// Validation happens before any state change.
-	dst2 := mustNew(t, "dense", 2)
+	dst2 := New(Options{Partitions: 2})
 	bad := []KeyPartial{
 		{Key: "ok", Blob: ps[0].Blob},
 		{Key: "", Blob: ps[0].Blob},
@@ -273,13 +301,17 @@ func TestKeyPartialsJSONPath(t *testing.T) {
 	if dst2.Len() != 0 {
 		t.Error("failed MergeKeyPartials left state behind")
 	}
-	sp := mustNew(t, "sparse", 1)
-	sp.Add("z", []float64{1})
-	spPs, err := sp.ExportPartials("", "")
+	sp := engine.MustGet("sparse").NewAccumulator()
+	sp.Add(1)
+	spBlob, err := engine.MarshalPartial("sparse", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst2.MergeKeyPartials(spPs); !errors.Is(err, ErrEngineMismatch) {
-		t.Fatalf("engine mismatch in key partials: err = %v", err)
+	spPs := []KeyPartial{{Key: "ok", Blob: ps[0].Blob}, {Key: "z", Blob: spBlob}}
+	if err := dst2.MergeKeyPartials(spPs); !errors.Is(err, engine.ErrWireInvalid) {
+		t.Fatalf("sparse key partial: err = %v, want engine.ErrWireInvalid", err)
+	}
+	if dst2.Len() != 0 {
+		t.Error("rejected sparse partial left state behind")
 	}
 }

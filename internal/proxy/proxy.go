@@ -64,7 +64,7 @@ import (
 	"time"
 
 	"parsum/internal/batch"
-	"parsum/internal/engine"
+	"parsum/internal/core"
 	"parsum/internal/keyed"
 	"parsum/internal/ring"
 	"parsum/internal/sumdclient"
@@ -92,9 +92,6 @@ type Options struct {
 	VNodes int
 	// AckMode is "quorum" (default), "all", or "one".
 	AckMode string
-	// Engine names the summation engine, which must match the backends';
-	// "" means dense. It must be invertible (repair pushes differences).
-	Engine string
 	// Timeout is each backend client's per-attempt deadline; 0 means 5s.
 	Timeout time.Duration
 	// Retry429 is each backend client's 429-shed retry budget.
@@ -166,8 +163,6 @@ type hint struct {
 type Proxy struct {
 	opt     Options
 	ring    *ring.Ring
-	eng     engine.Engine
-	engName string
 	r       int // replication factor
 	need    int // acks required per write
 	maxBody int64
@@ -203,17 +198,6 @@ func New(opt Options) (*Proxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
 	}
-	engName := opt.Engine
-	if engName == "" {
-		engName = "dense"
-	}
-	eng, ok := engine.Get(engName)
-	if !ok {
-		return nil, fmt.Errorf("proxy: unknown engine %q (registered: %v)", engName, engine.Names())
-	}
-	if !eng.Caps().Invertible {
-		return nil, fmt.Errorf("proxy: engine %q is not invertible; anti-entropy repair needs exact differences", engName)
-	}
 	r := opt.Replication
 	if r <= 0 {
 		r = 3
@@ -246,8 +230,7 @@ func New(opt Options) (*Proxy, error) {
 	}
 
 	p := &Proxy{
-		opt: opt, ring: rg, eng: eng, engName: engName,
-		r: r, need: need, maxBody: maxBody, hintCap: hintCap,
+		opt: opt, ring: rg, r: r, need: need, maxBody: maxBody, hintCap: hintCap,
 		backends: make(map[string]*backendConn, rg.Len()),
 		order:    rg.Nodes(),
 		mux:      http.NewServeMux(),
@@ -359,10 +342,7 @@ func (p *Proxy) decodeValues(w http.ResponseWriter, r *http.Request) ([]float64,
 // when sub) — the unit every replica leg, retry, and hint replay of
 // this write delivers under one token.
 func (p *Proxy) envelope(key string, xs []float64, sub bool) ([]byte, error) {
-	st, err := keyed.New(keyed.Options{Engine: p.engName, Partitions: 1})
-	if err != nil {
-		return nil, err
-	}
+	st := keyed.New(keyed.Options{Partitions: 1})
 	if sub {
 		st.Sub(key, xs)
 	} else {
@@ -565,7 +545,7 @@ func (p *Proxy) handleTopology(w http.ResponseWriter, r *http.Request) {
 		AckMode:     p.ackModeName(),
 		NeedAcks:    p.need,
 		VNodes:      p.ring.VNodes(),
-		Engine:      p.engName,
+		Engine:      core.EngineDense,
 		Breakers:    map[string]string{},
 	}
 	for _, name := range p.order {

@@ -12,8 +12,8 @@ import (
 	"math"
 	"time"
 
-	"parsum"
-	"parsum/internal/engine"
+	"parsum/internal/accum"
+	"parsum/internal/core"
 	"parsum/internal/keyed"
 	"parsum/internal/sumdclient"
 )
@@ -125,7 +125,7 @@ type RepairStats struct {
 // lacks the key).
 type replicaView struct {
 	name string
-	acc  engine.Accumulator
+	acc  *accum.Dense
 }
 
 // vote is the equality class a replica's state falls into: presence
@@ -175,11 +175,8 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 			stats.Errors++
 			continue
 		}
-		st, err := keyed.New(keyed.Options{Engine: p.engName, Partitions: 1})
-		if err == nil {
-			err = st.ImportMerge(blob)
-		}
-		if err != nil {
+		st := keyed.New(keyed.Options{Partitions: 1})
+		if _, err := st.ImportMerge(blob); err != nil {
 			stats.Unreachable = append(stats.Unreachable, name)
 			stats.Errors++
 			continue
@@ -195,7 +192,7 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 		}
 	}
 
-	pushes := map[string][]parsum.KeyPartial{}
+	pushes := map[string][]keyed.KeyPartial{}
 	for key := range union {
 		stats.Keys++
 		var views []replicaView
@@ -228,7 +225,7 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 		// exact correction that lands the dissenter on the donor's group
 		// element. An absent-majority winner makes the "donor" the empty
 		// element: dissenters are pushed their own negation.
-		var donor engine.Accumulator
+		var donor *accum.Dense
 		for _, v := range views {
 			if viewVote(v) == winner && v.acc != nil {
 				donor = v.acc
@@ -239,19 +236,19 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 			if viewVote(v) == winner {
 				continue
 			}
-			diff := p.eng.NewAccumulator()
+			diff := accum.NewDense(0)
 			if donor != nil {
-				diff.Merge(donor.Clone())
+				diff.Merge(donor)
 			}
 			if v.acc != nil {
-				diff.(engine.Inverter).SubAccumulator(v.acc.Clone())
+				diff.AddNeg(v.acc)
 			}
-			blob, err := engine.MarshalPartial(p.engName, diff)
+			blob, err := core.MarshalDensePartial(diff)
 			if err != nil {
 				stats.Errors++
 				continue
 			}
-			pushes[v.name] = append(pushes[v.name], parsum.KeyPartial{Key: key, Blob: blob})
+			pushes[v.name] = append(pushes[v.name], keyed.KeyPartial{Key: key, Blob: blob})
 		}
 	}
 

@@ -12,10 +12,7 @@ import (
 // accumulator's existing digit array.
 func TestAddBatchZeroAlloc(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 4096, Delta: 2000, Seed: 11}).Slice()
-	s, err := New(Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Options{Shards: 2})
 	if avg := testing.AllocsPerRun(50, func() { s.AddBatch(xs) }); avg != 0 {
 		t.Fatalf("Sharded.AddBatch allocates %.1f times per call, want 0", avg)
 	}

@@ -7,9 +7,9 @@
 //
 // The determinism is not a scheduling property but an algebraic one,
 // inherited from the paper's superaccumulator representation: every value
-// lands in exactly one per-shard accumulator, per-shard accumulation and
-// cross-shard merges are exact (the backing engine declares
-// DeterministicParallel), and rounding happens once at the end. Any
+// lands in exactly one per-shard dense superaccumulator, per-shard
+// accumulation and cross-shard merges are exact (carry-free Lemma 1
+// merges), and rounding happens once at the end. Any
 // partition of the same multiset of inputs therefore merges to the same
 // exact sum, so the only nondeterminism a concurrent Snapshot can observe
 // is *which* racing Adds it includes — never the value a given set of
@@ -27,28 +27,17 @@
 package shard
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"parsum/internal/accum"
 	"parsum/internal/core"
-	"parsum/internal/engine"
 )
 
-// ErrEngineMismatch is returned by MergeBytes when a wire partial was
-// produced by a different engine than the one backing the accumulator.
-var ErrEngineMismatch = errors.New("shard: partial engine does not match accumulator engine")
-
 // Options configures a Sharded accumulator; the zero value is ready to
-// use (dense engine, one shard per P).
+// use (one shard per P).
 type Options struct {
-	// Engine names the registered summation engine backing every shard;
-	// "" means the dense superaccumulator. The engine must declare both
-	// Streaming and DeterministicParallel — those capabilities are exactly
-	// the contract that makes sharded ingestion deterministic.
-	Engine string
 	// Shards is the number of independent writer stripes; 0 means
 	// GOMAXPROCS. More shards than concurrently running writers buys
 	// nothing; fewer serializes writers onto shared locks (still correct,
@@ -60,8 +49,8 @@ type Options struct {
 // neighbouring shards do not false-share a cache line.
 type slot struct {
 	mu  sync.Mutex
-	acc engine.Accumulator
-	_   [40]byte // Mutex(8) + interface(16) + 40 = 64
+	acc *accum.Dense
+	_   [48]byte // Mutex(8) + pointer(8) + 48 = 64
 }
 
 // token is a writer's cached shard assignment, recycled through a
@@ -72,8 +61,6 @@ type token struct{ idx uint32 }
 // methods are safe for concurrent use. The zero value is not usable;
 // construct with New.
 type Sharded struct {
-	eng    engine.Engine
-	inv    bool // engine declares Invertible: Sub/SubBatch are available
 	shards []slot
 
 	tokens sync.Pool     // *token — striped shard assignment
@@ -82,64 +69,35 @@ type Sharded struct {
 	// snapMu serializes Snapshot/Sum/Reset/Merge and guards base, which
 	// holds everything folded out of the shards by earlier snapshots.
 	snapMu sync.Mutex
-	base   engine.Accumulator
+	base   *accum.Dense
 
 	accPool sync.Pool // recycled empty accumulators for shard handoff
 }
 
-// New returns an empty Sharded accumulator. It errors when the engine is
-// unknown or does not declare the Streaming and DeterministicParallel
-// capabilities a deterministic sharded accumulator requires.
-func New(opt Options) (*Sharded, error) {
-	name := opt.Engine
-	if name == "" {
-		name = core.EngineDense
-	}
-	e, ok := engine.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown engine %q (registered: %v)", name, engine.Names())
-	}
-	if caps := e.Caps(); !caps.Streaming || !caps.DeterministicParallel {
-		return nil, fmt.Errorf("shard: engine %q cannot back a sharded accumulator (needs Streaming and DeterministicParallel; has Streaming=%v DeterministicParallel=%v)",
-			name, caps.Streaming, caps.DeterministicParallel)
-	}
+// New returns an empty Sharded accumulator.
+func New(opt Options) *Sharded {
 	n := opt.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s := &Sharded{eng: e, inv: e.Caps().Invertible, shards: make([]slot, n), base: e.NewAccumulator()}
+	s := &Sharded{shards: make([]slot, n), base: accum.NewDense(0)}
 	for i := range s.shards {
-		s.shards[i].acc = e.NewAccumulator()
+		s.shards[i].acc = accum.NewDense(0)
 	}
-	return s, nil
-}
-
-// Engine returns the name of the backing engine.
-func (s *Sharded) Engine() string { return s.eng.Name() }
-
-// Invertible reports whether the backing engine supports exact deletion
-// (Sub/SubBatch). All the superaccumulator engines do.
-func (s *Sharded) Invertible() bool { return s.inv }
-
-// checkInvertible panics when the backing engine cannot delete — mixing up
-// engines is a programming error, like Merge's engine-mismatch panic.
-func (s *Sharded) checkInvertible() {
-	if !s.inv {
-		panic(fmt.Sprintf("shard: engine %q is not invertible (no exact deletion)", s.eng.Name()))
-	}
+	return s
 }
 
 // Shards returns the number of writer stripes.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-func (s *Sharded) fresh() engine.Accumulator {
+func (s *Sharded) fresh() *accum.Dense {
 	if v := s.accPool.Get(); v != nil {
-		return v.(engine.Accumulator)
+		return v.(*accum.Dense)
 	}
-	return s.eng.NewAccumulator()
+	return accum.NewDense(0)
 }
 
-func (s *Sharded) recycle(a engine.Accumulator) {
+func (s *Sharded) recycle(a *accum.Dense) {
 	a.Reset()
 	s.accPool.Put(a)
 }
@@ -201,9 +159,8 @@ func (s *Sharded) AddBatches(batches [][]float64) {
 
 // SubBatches deletes every slice in batches exactly under a single
 // striped-lock acquisition — the deletion half of the batcher's flush
-// entry point. Panics when the engine is not Invertible.
+// entry point.
 func (s *Sharded) SubBatches(batches [][]float64) {
-	s.checkInvertible()
 	if len(batches) == 0 {
 		return
 	}
@@ -213,9 +170,8 @@ func (s *Sharded) SubBatches(batches [][]float64) {
 	}
 	sl := &s.shards[t.idx]
 	sl.mu.Lock()
-	inv := sl.acc.(engine.Inverter)
 	for _, xs := range batches {
-		inv.SubSlice(xs)
+		sl.acc.SubSlice(xs)
 	}
 	sl.mu.Unlock()
 	s.tokens.Put(t)
@@ -224,25 +180,22 @@ func (s *Sharded) SubBatches(batches [][]float64) {
 // Sub deletes x from the accumulated sum exactly, landing in one shard.
 // Deletion is as exact as insertion (the backing representation is a
 // group): any interleaving of adds and subs that leaves the same multiset
-// snapshots to the same bits. Panics when the engine is not Invertible.
+// snapshots to the same bits.
 func (s *Sharded) Sub(x float64) {
-	s.checkInvertible()
 	t, _ := s.tokens.Get().(*token)
 	if t == nil {
 		t = &token{idx: s.rr.Add(1) % uint32(len(s.shards))}
 	}
 	sl := &s.shards[t.idx]
 	sl.mu.Lock()
-	sl.acc.(engine.Inverter).Sub(x)
+	sl.acc.Sub(x)
 	sl.mu.Unlock()
 	s.tokens.Put(t)
 }
 
 // SubBatch deletes every element of xs exactly, amortizing the shard
-// handoff over the batch like AddBatch. Panics when the engine is not
-// Invertible.
+// handoff over the batch like AddBatch.
 func (s *Sharded) SubBatch(xs []float64) {
-	s.checkInvertible()
 	if len(xs) == 0 {
 		return
 	}
@@ -252,7 +205,7 @@ func (s *Sharded) SubBatch(xs []float64) {
 	}
 	sl := &s.shards[t.idx]
 	sl.mu.Lock()
-	sl.acc.(engine.Inverter).SubSlice(xs)
+	sl.acc.SubSlice(xs)
 	sl.mu.Unlock()
 	s.tokens.Put(t)
 }
@@ -262,13 +215,12 @@ func (s *Sharded) SubBatch(xs []float64) {
 // token-pool hop of Sharded.Add; up to ⌈writers/shards⌉ writers share a
 // stripe (and its lock).
 func (s *Sharded) Writer() *Writer {
-	return &Writer{s: s, sl: &s.shards[s.rr.Add(1)%uint32(len(s.shards))]}
+	return &Writer{sl: &s.shards[s.rr.Add(1)%uint32(len(s.shards))]}
 }
 
 // Writer is a shard-pinned ingestion handle; safe for concurrent use,
 // though its point is one goroutine owning it.
 type Writer struct {
-	s  *Sharded
 	sl *slot
 }
 
@@ -286,21 +238,17 @@ func (w *Writer) AddBatch(xs []float64) {
 	w.sl.mu.Unlock()
 }
 
-// Sub deletes x exactly from the writer's shard (see Sharded.Sub). Panics
-// when the engine is not Invertible.
+// Sub deletes x exactly from the writer's shard (see Sharded.Sub).
 func (w *Writer) Sub(x float64) {
-	w.s.checkInvertible()
 	w.sl.mu.Lock()
-	w.sl.acc.(engine.Inverter).Sub(x)
+	w.sl.acc.Sub(x)
 	w.sl.mu.Unlock()
 }
 
 // SubBatch deletes every element of xs exactly from the writer's shard.
-// Panics when the engine is not Invertible.
 func (w *Writer) SubBatch(xs []float64) {
-	w.s.checkInvertible()
 	w.sl.mu.Lock()
-	w.sl.acc.(engine.Inverter).SubSlice(xs)
+	w.sl.acc.SubSlice(xs)
 	w.sl.mu.Unlock()
 }
 
@@ -308,8 +256,8 @@ func (w *Writer) SubBatch(xs []float64) {
 // returns the taken partials. Each swap is the linearization point for
 // that shard: an Add that completed before it is in the returned partial,
 // one that starts after it lands in the fresh accumulator.
-func (s *Sharded) drain() []engine.Accumulator {
-	parts := make([]engine.Accumulator, len(s.shards))
+func (s *Sharded) drain() []*accum.Dense {
+	parts := make([]*accum.Dense, len(s.shards))
 	for i := range s.shards {
 		sl := &s.shards[i]
 		sl.mu.Lock()
@@ -323,7 +271,7 @@ func (s *Sharded) drain() []engine.Accumulator {
 // foldLocked drains the shards and merges the partials into base through
 // the log-depth Lemma 1 merge tree. Caller holds snapMu.
 func (s *Sharded) foldLocked() {
-	delta := core.MergeTree(s.drain(), func(dst, src engine.Accumulator) engine.Accumulator {
+	delta := core.MergeTree(s.drain(), func(dst, src *accum.Dense) *accum.Dense {
 		dst.Merge(src)
 		s.recycle(src)
 		return dst
@@ -359,31 +307,28 @@ func (s *Sharded) Reset() {
 }
 
 // SnapshotBytes folds everything ingested so far and returns its exact
-// value as a versioned wire partial (engine.MarshalPartial), suitable for
-// shipping to a remote merge service. Like Snapshot it does not disturb
-// ingestion, and the encoded value covers every Add/AddBatch that
-// completed before the per-shard swaps. It errors only when the backing
-// engine's accumulators cannot marshal (see engine.CanMarshal).
+// value as a versioned dense wire partial (core.MarshalDensePartial),
+// suitable for shipping to a remote merge service. Like Snapshot it does
+// not disturb ingestion, and the encoded value covers every Add/AddBatch
+// that completed before the per-shard swaps.
 func (s *Sharded) SnapshotBytes() ([]byte, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.foldLocked()
-	return engine.MarshalPartial(s.eng.Name(), s.base)
+	return core.MarshalDensePartial(s.base)
 }
 
 // MergeBytes decodes a wire partial and folds its exact contents into s —
 // the reducer half of the paper's combiner→reducer exchange. Unlike Merge,
 // which panics on programmer error, MergeBytes returns errors: the payload
-// is remote input, and a malformed or engine-mismatched partial must not
-// take the process down. The merge is exact, so pushing the same set of
-// partials in any order yields a bit-identical Sum.
+// is remote input, and a malformed partial — including one naming any
+// engine but dense — must not take the process down. The merge is exact,
+// so pushing the same set of partials in any order yields a bit-identical
+// Sum.
 func (s *Sharded) MergeBytes(data []byte) error {
-	name, acc, err := engine.UnmarshalPartial(data)
+	acc, err := core.UnmarshalDensePartial(data)
 	if err != nil {
 		return err
-	}
-	if name != s.eng.Name() {
-		return fmt.Errorf("%w (partial %q, accumulator %q)", ErrEngineMismatch, name, s.eng.Name())
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -396,15 +341,11 @@ func (s *Sharded) MergeBytes(data []byte) error {
 var mergeMu sync.Mutex
 
 // Merge folds the exact contents of o into s; o's value is unchanged and
-// o remains usable. Both sides must be backed by the same engine; mixing
-// engines panics (the same contract as Accumulator.Merge). Adds racing on
-// either side land in that side's post-merge state per their shard swap.
+// o remains usable. Adds racing on either side land in that side's
+// post-merge state per their shard swap.
 func (s *Sharded) Merge(o *Sharded) {
 	if s == o {
 		panic("shard: Merge of a Sharded with itself")
-	}
-	if s.eng.Name() != o.eng.Name() {
-		panic(fmt.Sprintf("shard: engine mismatch in Merge (%s vs %s)", s.eng.Name(), o.eng.Name()))
 	}
 	mergeMu.Lock()
 	defer mergeMu.Unlock()

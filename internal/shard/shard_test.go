@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	_ "parsum/internal/baseline" // register baseline engines (for rejection tests)
-	"parsum/internal/core"
 	"parsum/internal/gen"
 	"parsum/internal/oracle"
 )
@@ -23,28 +21,8 @@ func dataset(t *testing.T, d gen.Dist, n int64, seed uint64) []float64 {
 	return gen.New(gen.Config{Dist: d, N: n, Delta: 1200, Seed: seed}).Slice()
 }
 
-func TestNewRejectsBadEngines(t *testing.T) {
-	if _, err := New(Options{Engine: "no-such-engine"}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	// adaptive is registered but neither streaming nor parallel-deterministic.
-	if _, err := New(Options{Engine: "adaptive"}); err == nil {
-		t.Error("non-streaming engine accepted")
-	}
-	// kahan streams nothing and merges nothing exactly.
-	if _, err := New(Options{Engine: "kahan"}); err == nil {
-		t.Error("non-deterministic engine accepted")
-	}
-}
-
 func TestDefaults(t *testing.T) {
-	s, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Engine() != core.EngineDense {
-		t.Errorf("default engine = %q, want %q", s.Engine(), core.EngineDense)
-	}
+	s := New(Options{})
 	if s.Shards() < 1 {
 		t.Errorf("default shards = %d", s.Shards())
 	}
@@ -55,40 +33,35 @@ func TestDefaults(t *testing.T) {
 
 // TestBitIdenticalAcrossShardCounts: for every shard count and both the
 // token-striped and Writer-pinned paths, the concurrent sum must be
-// bit-identical to the sequential engine and to the math/big oracle.
+// bit-identical to the math/big oracle.
 func TestBitIdenticalAcrossShardCounts(t *testing.T) {
-	for _, engName := range []string{"dense", "sparse", "small", "large"} {
-		for _, d := range gen.AllDists {
-			xs := dataset(t, d, 20000, 17)
-			want := oracle.Sum(xs)
-			for _, shards := range []int{1, 2, 4, 8} {
-				s, err := New(Options{Engine: engName, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				for w := 0; w < 2*shards; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						wr := s.Writer()
-						for i := w; i < len(xs); i += 2 * shards {
-							if i%2 == 0 {
-								wr.Add(xs[i])
-							} else {
-								s.Add(xs[i]) // exercise the striped-token path too
-							}
+	for _, d := range gen.AllDists {
+		xs := dataset(t, d, 20000, 17)
+		want := oracle.Sum(xs)
+		for _, shards := range []int{1, 2, 4, 8} {
+			s := New(Options{Shards: shards})
+			var wg sync.WaitGroup
+			for w := 0; w < 2*shards; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					wr := s.Writer()
+					for i := w; i < len(xs); i += 2 * shards {
+						if i%2 == 0 {
+							wr.Add(xs[i])
+						} else {
+							s.Add(xs[i]) // exercise the striped-token path too
 						}
-					}(w)
-				}
-				wg.Wait()
-				if got := s.Sum(); !bitEqual(got, want) {
-					t.Fatalf("%s/%v shards=%d: Sum=%g oracle=%g", engName, d, shards, got, want)
-				}
-				// Sum must be repeatable (non-destructive snapshot).
-				if got := s.Snapshot(); !bitEqual(got, want) {
-					t.Fatalf("%s/%v shards=%d: second Snapshot diverged", engName, d, shards)
-				}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if got := s.Sum(); !bitEqual(got, want) {
+				t.Fatalf("%v shards=%d: Sum=%g oracle=%g", d, shards, got, want)
+			}
+			// Sum must be repeatable (non-destructive snapshot).
+			if got := s.Snapshot(); !bitEqual(got, want) {
+				t.Fatalf("%v shards=%d: second Snapshot diverged", d, shards)
 			}
 		}
 	}
@@ -98,8 +71,8 @@ func TestBitIdenticalAcrossShardCounts(t *testing.T) {
 // element-wise ingestion.
 func TestAddBatchMatchesAdd(t *testing.T) {
 	xs := dataset(t, gen.SumZero, 10000, 3)
-	a, _ := New(Options{Shards: 4})
-	b, _ := New(Options{Shards: 4})
+	a := New(Options{Shards: 4})
+	b := New(Options{Shards: 4})
 	for _, x := range xs {
 		a.Add(x)
 	}
@@ -112,12 +85,30 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	}
 }
 
+// TestAddBatchesMatchesAddBatch: the batcher's grouped flush entry
+// points (one lock for many slices) produce the same bits as flat
+// AddBatch/SubBatch, and empty groups are no-ops.
+func TestAddBatchesMatchesAddBatch(t *testing.T) {
+	xs := dataset(t, gen.Random, 6000, 5)
+	churn := dataset(t, gen.Anderson, 3000, 6)
+	a := New(Options{Shards: 3})
+	b := New(Options{Shards: 3})
+	a.AddBatch(xs)
+	b.AddBatches(nil)
+	b.SubBatches(nil)
+	b.AddBatches([][]float64{xs[:2500], churn, xs[2500:]})
+	b.SubBatches([][]float64{churn[:1000], churn[1000:]})
+	if av, bv := a.Sum(), b.Sum(); !bitEqual(av, bv) {
+		t.Fatalf("AddBatch=%g AddBatches/SubBatches=%g", av, bv)
+	}
+}
+
 // TestSnapshotMidIngestion: snapshots taken while the accumulator is
 // mid-stream (more data coming) must be bit-identical to the oracle over
 // exactly the data ingested so far.
 func TestSnapshotMidIngestion(t *testing.T) {
 	xs := dataset(t, gen.Random, 30000, 23)
-	s, _ := New(Options{Shards: 4})
+	s := New(Options{Shards: 4})
 	const phases = 5
 	per := len(xs) / phases
 	for p := 0; p < phases; p++ {
@@ -149,7 +140,7 @@ func TestSnapshotMidIngestion(t *testing.T) {
 func TestConcurrentSnapshotsDoNotPerturb(t *testing.T) {
 	xs := dataset(t, gen.CondOne, 20000, 29)
 	want := oracle.Sum(xs)
-	s, _ := New(Options{Shards: 4})
+	s := New(Options{Shards: 4})
 	done := make(chan struct{})
 	var snaps []float64
 	var snapWg sync.WaitGroup
@@ -195,7 +186,7 @@ func TestConcurrentSnapshotsDoNotPerturb(t *testing.T) {
 
 func TestResetAndReuse(t *testing.T) {
 	xs := dataset(t, gen.Random, 5000, 31)
-	s, _ := New(Options{Shards: 2})
+	s := New(Options{Shards: 2})
 	s.AddBatch(xs)
 	if s.Sum() == 0 {
 		t.Fatal("sum of random data unexpectedly 0")
@@ -213,8 +204,8 @@ func TestResetAndReuse(t *testing.T) {
 func TestMerge(t *testing.T) {
 	xs := dataset(t, gen.Anderson, 8000, 37)
 	half := len(xs) / 2
-	a, _ := New(Options{Shards: 3})
-	b, _ := New(Options{Shards: 5})
+	a := New(Options{Shards: 3})
+	b := New(Options{Shards: 5})
 	a.AddBatch(xs[:half])
 	b.AddBatch(xs[half:])
 	a.Merge(b)
@@ -232,18 +223,13 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergePanics(t *testing.T) {
-	a, _ := New(Options{Engine: "dense"})
-	b, _ := New(Options{Engine: "sparse"})
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("self-merge", func() { a.Merge(a) })
-	mustPanic("engine mismatch", func() { a.Merge(b) })
+	a := New(Options{})
+	defer func() {
+		if recover() == nil {
+			t.Error("self-merge did not panic")
+		}
+	}()
+	a.Merge(a)
 }
 
 // TestSpecials: IEEE specials flow through sharded ingestion with the
@@ -260,7 +246,7 @@ func TestSpecials(t *testing.T) {
 		{"cancel", []float64{1e300, -1e300}, 0},
 	}
 	for _, tc := range cases {
-		s, _ := New(Options{Shards: 2})
+		s := New(Options{Shards: 2})
 		for _, x := range tc.xs {
 			s.Add(x)
 		}
@@ -272,7 +258,7 @@ func TestSpecials(t *testing.T) {
 
 func BenchmarkShardedIngest(b *testing.B) {
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 1 << 16, Delta: 1200, Seed: 7}).Slice()
-	s, _ := New(Options{})
+	s := New(Options{})
 	b.SetBytes(int64(len(xs) * 8))
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

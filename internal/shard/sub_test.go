@@ -5,48 +5,39 @@ import (
 	"sync"
 	"testing"
 
-	"parsum/internal/engine"
+	"parsum/internal/core"
 	"parsum/internal/gen"
 )
 
 // TestSubRestoresSnapshotBits: ingesting a∪b then deleting b — through
 // every combination of Sub/SubBatch on the striped and writer-pinned paths
-// — snapshots bit-identically to ingesting a alone, for every engine that
-// can back a window.
+// — snapshots bit-identically to ingesting a alone.
 func TestSubRestoresSnapshotBits(t *testing.T) {
 	a := dataset(t, gen.Random, 3000, 51)
 	b := dataset(t, gen.SumZero, 2000, 52)
 	b = append(b, math.Inf(1), math.NaN(), math.Inf(-1))
-	for _, name := range []string{"dense", "sparse", "small", "large"} {
-		want := engine.MustGet(name).Sum(a)
-		for _, shards := range []int{1, 4} {
-			s, err := New(Options{Engine: name, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !s.Invertible() {
-				t.Fatalf("%s: Invertible() = false", name)
-			}
-			s.AddBatch(a)
-			s.AddBatch(b[:len(b)/2])
-			for _, x := range b[len(b)/2:] {
-				s.Add(x)
-			}
-			// Delete b back out through all three deletion surfaces.
-			third := len(b) / 3
-			s.SubBatch(b[:third])
-			for _, x := range b[third : 2*third] {
-				s.Sub(x)
-			}
-			w := s.Writer()
-			w.SubBatch(b[2*third : 2*third+(len(b)-2*third)/2])
-			for _, x := range b[2*third+(len(b)-2*third)/2:] {
-				w.Sub(x)
-			}
-			if got := s.Sum(); !bitEqual(got, want) {
-				t.Fatalf("%s shards=%d: %x != %x", name, shards,
-					math.Float64bits(got), math.Float64bits(want))
-			}
+	want := core.Sum(a)
+	for _, shards := range []int{1, 4} {
+		s := New(Options{Shards: shards})
+		s.AddBatch(a)
+		s.AddBatch(b[:len(b)/2])
+		for _, x := range b[len(b)/2:] {
+			s.Add(x)
+		}
+		// Delete b back out through all three deletion surfaces.
+		third := len(b) / 3
+		s.SubBatch(b[:third])
+		for _, x := range b[third : 2*third] {
+			s.Sub(x)
+		}
+		w := s.Writer()
+		w.SubBatch(b[2*third : 2*third+(len(b)-2*third)/2])
+		for _, x := range b[2*third+(len(b)-2*third)/2:] {
+			w.Sub(x)
+		}
+		if got := s.Sum(); !bitEqual(got, want) {
+			t.Fatalf("shards=%d: %x != %x", shards,
+				math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }
@@ -56,10 +47,7 @@ func TestSubRestoresSnapshotBits(t *testing.T) {
 func TestSubConcurrentWithSnapshots(t *testing.T) {
 	keep := dataset(t, gen.Anderson, 4000, 61)
 	churn := dataset(t, gen.Random, 4000, 62)
-	s, err := New(Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Options{Shards: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -90,47 +78,15 @@ func TestSubConcurrentWithSnapshots(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	want := engine.MustGet("dense").Sum(keep)
+	want := core.Sum(keep)
 	if got := s.Sum(); !bitEqual(got, want) {
 		t.Fatalf("churned sum %x != %x", math.Float64bits(got), math.Float64bits(want))
 	}
 }
 
-// TestSubPanicsWithoutInvertibleEngine pins the failure mode for engines
-// that cannot delete. No registered engine is Streaming+Deterministic but
-// not Invertible, so construct the panic through the internal flag.
-func TestSubPanicsWithoutInvertibleEngine(t *testing.T) {
-	s, err := New(Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.inv = false // simulate a non-invertible streaming engine
-	for name, fn := range map[string]func(){
-		"Sub":             func() { s.Sub(1) },
-		"SubBatch":        func() { s.SubBatch([]float64{1}) },
-		"Writer.Sub":      func() { s.Writer().Sub(1) },
-		"Writer.SubBatch": func() { s.Writer().SubBatch([]float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on non-invertible engine did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-	if s.Invertible() {
-		t.Error("Invertible() should report false")
-	}
-}
-
 // TestSubBatchEmpty: deleting nothing is a no-op, not a lock dance.
 func TestSubBatchEmpty(t *testing.T) {
-	s, err := New(Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Options{Shards: 2})
 	s.Add(2.5)
 	s.SubBatch(nil)
 	if got := s.Sum(); got != 2.5 {

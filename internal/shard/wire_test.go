@@ -1,12 +1,15 @@
 package shard_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
-	_ "parsum/internal/core" // register superaccumulator engines
+	"parsum"
+	"parsum/internal/accum"
+	"parsum/internal/core"
 	"parsum/internal/engine"
 	"parsum/internal/oracle"
 	"parsum/internal/shard"
@@ -21,21 +24,16 @@ func wireValues(r *rand.Rand, n int) []float64 {
 }
 
 // TestSnapshotMergeBytesRoundTrip: a partial exported from one Sharded and
-// merged into another must contribute exactly, for every wire-capable
-// sharded engine.
+// merged into another must contribute exactly. The service holds only the
+// dense superaccumulator, so each subtest checks the merged bits against
+// one exact engine's sequential sum: every representation agrees.
 func TestSnapshotMergeBytesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, eng := range []string{"dense", "sparse", "small", "large"} {
 		t.Run(eng, func(t *testing.T) {
 			xs := wireValues(r, 5000)
-			a, err := shard.New(shard.Options{Engine: eng, Shards: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := shard.New(shard.Options{Engine: eng, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := shard.New(shard.Options{Shards: 3})
+			b := shard.New(shard.Options{Shards: 2})
 			a.AddBatch(xs[:2000])
 			b.AddBatch(xs[2000:])
 			blob, err := b.SnapshotBytes()
@@ -45,10 +43,9 @@ func TestSnapshotMergeBytesRoundTrip(t *testing.T) {
 			if err := a.MergeBytes(blob); err != nil {
 				t.Fatal(err)
 			}
-			want := oracle.Sum(xs)
-			got := a.Sum()
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("merged sum=%g oracle=%g", got, want)
+			want := core.SumEngine(eng, xs)
+			if got := a.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("merged sum=%g, %s sum=%g", got, eng, want)
 			}
 			// b is unchanged and remains usable.
 			w2 := oracle.Sum(xs[2000:])
@@ -66,10 +63,7 @@ func TestSnapshotMergeBytesRoundTrip(t *testing.T) {
 func TestMergeBytesConcurrentPushersBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	xs := wireValues(r, 12000)
-	s, err := shard.New(shard.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{Shards: 4})
 	const pushers = 8
 	slice := len(xs) / (pushers + 1)
 	var wg sync.WaitGroup
@@ -78,11 +72,7 @@ func TestMergeBytesConcurrentPushersBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, err := shard.New(shard.Options{Shards: 2})
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			w := shard.New(shard.Options{Shards: 2})
 			w.AddBatch(part)
 			blob, err := w.SnapshotBytes()
 			if err != nil {
@@ -115,10 +105,7 @@ func TestMergeBytesConcurrentPushersBitIdentical(t *testing.T) {
 }
 
 func TestMergeBytesRejectsBadInput(t *testing.T) {
-	s, err := shard.New(shard.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{})
 	s.Add(1)
 	if err := s.MergeBytes(nil); err == nil {
 		t.Error("nil payload accepted")
@@ -126,18 +113,22 @@ func TestMergeBytesRejectsBadInput(t *testing.T) {
 	if err := s.MergeBytes([]byte{0xC7, 1, 0xFF}); err == nil {
 		t.Error("garbage payload accepted")
 	}
-	// Engine mismatch: a sparse partial into a dense-backed Sharded.
-	o, err := shard.New(shard.Options{Engine: "sparse"})
+	// A well-formed partial of any engine but dense is malformed here.
+	sp, err := parsum.NewAccumulatorEngine("sparse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Add(2)
-	blob, err := o.SnapshotBytes()
+	sp.Add(2)
+	blob, err := sp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MergeBytes(blob); err == nil {
-		t.Error("cross-engine partial accepted")
+	if err := s.MergeBytes(blob); !errors.Is(err, engine.ErrWireInvalid) {
+		t.Errorf("sparse partial: err = %v, want ErrWireInvalid", err)
+	}
+	// So is a dense payload at a width the service does not run.
+	if err := s.MergeBytes(densePartialOfWidth(t, 16, 2)); err == nil {
+		t.Error("non-default-width dense partial accepted")
 	}
 	// The failed merges must not have corrupted s.
 	if got := s.Sum(); got != 1 {
@@ -148,10 +139,7 @@ func TestMergeBytesRejectsBadInput(t *testing.T) {
 // TestSnapshotBytesIsAPartial pins that the exported payload decodes at
 // the engine layer to the same exact value Snapshot rounds.
 func TestSnapshotBytesIsAPartial(t *testing.T) {
-	s, err := shard.New(shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shard.New(shard.Options{Shards: 3})
 	xs := []float64{1e300, -1e300, 1e-300, 42.0625, -0x1p-1070}
 	s.AddBatch(xs)
 	blob, err := s.SnapshotBytes()
@@ -162,10 +150,23 @@ func TestSnapshotBytesIsAPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != s.Engine() {
-		t.Fatalf("partial engine %q, sharded engine %q", name, s.Engine())
+	if name != core.EngineDense {
+		t.Fatalf("partial engine %q, want %q", name, core.EngineDense)
 	}
 	if got, want := acc.Round(), oracle.Sum(xs); got != want {
 		t.Fatalf("decoded partial=%g oracle=%g", got, want)
 	}
+}
+
+// densePartialOfWidth returns a dense engine envelope holding x in a
+// dense superaccumulator of digit width w.
+func densePartialOfWidth(t *testing.T, w uint, x float64) []byte {
+	t.Helper()
+	d := accum.NewDense(w)
+	d.Add(x)
+	payload, err := d.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{0xC7, 1, byte(len(core.EngineDense))}, append([]byte(core.EngineDense), payload...)...)
 }

@@ -26,7 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsum"
+	"parsum/internal/accum"
+	"parsum/internal/core"
 	"parsum/internal/sumdsrv"
 )
 
@@ -220,7 +221,7 @@ func (c *Client) doOnce(ctx context.Context, method, path, contentType, token st
 	if c.Breaker != nil {
 		// Failure = nothing came back (status 0), or the backend itself
 		// is broken (5xx). Any non-5xx response — including a 429 shed or
-		// a 409 rejection — is a live, answering backend and closes the
+		// a 400 rejection — is a live, answering backend and closes the
 		// loop like a success.
 		c.Breaker.Record(status > 0 && status < 500)
 	}
@@ -379,12 +380,12 @@ func (c *Client) Reset(ctx context.Context) error {
 	return err
 }
 
-// Combiner is the map-side combiner: a local exact accumulator plus the
-// client to flush it through. It is not safe for concurrent use — each
-// worker goroutine should own one.
+// Combiner is the map-side combiner: a local dense superaccumulator plus
+// the client to flush it through. It is not safe for concurrent use —
+// each worker goroutine should own one.
 type Combiner struct {
 	c   *Client
-	acc *parsum.Accumulator
+	acc *accum.Dense
 	n   int64 // values accumulated since the last staging
 
 	// pending is a staged partial whose push has not been acknowledged:
@@ -399,18 +400,9 @@ type Combiner struct {
 	token   string
 }
 
-// NewCombiner returns a Combiner accumulating through the named engine
-// ("" means dense). The engine must match the service's, or Flush will be
-// rejected with a 409.
-func (c *Client) NewCombiner(engineName string) (*Combiner, error) {
-	if engineName == "" {
-		engineName = "dense"
-	}
-	acc, err := parsum.NewAccumulatorEngine(engineName)
-	if err != nil {
-		return nil, err
-	}
-	return &Combiner{c: c, acc: acc}, nil
+// NewCombiner returns an empty Combiner flushing through c.
+func (c *Client) NewCombiner() *Combiner {
+	return &Combiner{c: c, acc: accum.NewDense(0)}
 }
 
 // Add accumulates x exactly into the local partial.
@@ -446,7 +438,7 @@ func (co *Combiner) Flush(ctx context.Context) error {
 	if co.n == 0 {
 		return nil
 	}
-	blob, err := co.acc.MarshalBinary()
+	blob, err := core.MarshalDensePartial(co.acc)
 	if err != nil {
 		return err
 	}

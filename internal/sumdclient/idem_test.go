@@ -105,10 +105,7 @@ func TestCombinerFlushRetrySurvivesLostResponse(t *testing.T) {
 	second := []float64{0.1, 0.2, -1e8, 1e8}
 	oracle := parsum.Sum(append(append([]float64{}, first...), second...))
 
-	co, err := c.NewCombiner("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := c.NewCombiner()
 	co.AddSlice(first)
 	proxy.arm(1)
 	if err := co.Flush(ctx); err == nil {
@@ -170,10 +167,7 @@ func TestKeyedCombinerFlushRetrySurvivesLostResponse(t *testing.T) {
 		"beta":  {0.1, 0.2, 0.3},
 	}
 
-	co, err := c.NewKeyedCombiner("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := c.NewKeyedCombiner()
 	for key, xs := range vals {
 		co.Add(key, xs)
 	}

@@ -17,7 +17,7 @@ import (
 	"net/url"
 	"strconv"
 
-	"parsum"
+	"parsum/internal/keyed"
 )
 
 func keyQuery(key string) string { return "?key=" + url.QueryEscape(key) }
@@ -106,8 +106,8 @@ func (c *Client) PullKeyed(ctx context.Context, lo, hi string) ([]byte, error) {
 
 // PushKeyed merges a binary keyed envelope (Keyed.ExportRange or a peer
 // service's PullKeyed) into the service and returns how many keys were
-// merged. A rejected push (malformed or engine-mismatched) leaves the
-// service's keyed state bit-for-bit unchanged.
+// merged. A rejected push (malformed, or naming an engine other than
+// dense) leaves the service's keyed state bit-for-bit unchanged.
 func (c *Client) PushKeyed(ctx context.Context, blob []byte) (int, error) {
 	data, err := c.do(ctx, http.MethodPost, "/v1/keyed/partial", "application/octet-stream", blob)
 	if err != nil {
@@ -119,7 +119,7 @@ func (c *Client) PushKeyed(ctx context.Context, blob []byte) (int, error) {
 // PullKeyedPartials returns the keys in [lo, hi) as per-key wire
 // partials — the JSON form of PullKeyed for consumers that cannot carry
 // binary bodies.
-func (c *Client) PullKeyedPartials(ctx context.Context, lo, hi string) (engine string, ps []parsum.KeyPartial, err error) {
+func (c *Client) PullKeyedPartials(ctx context.Context, lo, hi string) ([]keyed.KeyPartial, error) {
 	q := url.Values{"format": {"json"}}
 	if lo != "" {
 		q.Set("lo", lo)
@@ -129,23 +129,22 @@ func (c *Client) PullKeyedPartials(ctx context.Context, lo, hi string) (engine s
 	}
 	data, err := c.do(ctx, http.MethodGet, "/v1/keyed/partial?"+q.Encode(), "", nil)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	var resp struct {
-		Engine   string              `json:"engine"`
-		Partials []parsum.KeyPartial `json:"partials"`
+		Partials []keyed.KeyPartial `json:"partials"`
 	}
 	if err := json.Unmarshal(data, &resp); err != nil {
-		return "", nil, fmt.Errorf("sumd: decoding keyed partials: %w", err)
+		return nil, fmt.Errorf("sumd: decoding keyed partials: %w", err)
 	}
-	return resp.Engine, resp.Partials, nil
+	return resp.Partials, nil
 }
 
 // PushKeyedPartials merges per-key wire partials into the service (the
 // JSON form of PushKeyed) and returns how many keys were merged.
-func (c *Client) PushKeyedPartials(ctx context.Context, ps []parsum.KeyPartial) (int, error) {
+func (c *Client) PushKeyedPartials(ctx context.Context, ps []keyed.KeyPartial) (int, error) {
 	body, err := json.Marshal(struct {
-		Partials []parsum.KeyPartial `json:"partials"`
+		Partials []keyed.KeyPartial `json:"partials"`
 	}{Partials: ps})
 	if err != nil {
 		return 0, err
@@ -177,7 +176,7 @@ func decodeMerged(data []byte) (int, error) {
 // concurrent use — each worker goroutine should own one.
 type KeyedCombiner struct {
 	c *Client
-	k *parsum.Keyed
+	k *keyed.Store
 
 	// pending/token stage an exported envelope whose push has not been
 	// acknowledged, exactly like Combiner.pending: a retried Flush
@@ -187,15 +186,9 @@ type KeyedCombiner struct {
 	token   string
 }
 
-// NewKeyedCombiner returns a KeyedCombiner accumulating through the
-// named engine ("" means dense). The engine must match the service's,
-// or Flush will be rejected with a 409.
-func (c *Client) NewKeyedCombiner(engineName string) (*KeyedCombiner, error) {
-	k, err := parsum.NewKeyed(parsum.KeyedOptions{Engine: engineName, Partitions: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &KeyedCombiner{c: c, k: k}, nil
+// NewKeyedCombiner returns an empty KeyedCombiner flushing through c.
+func (c *Client) NewKeyedCombiner() *KeyedCombiner {
+	return &KeyedCombiner{c: c, k: keyed.New(keyed.Options{Partitions: 1})}
 }
 
 // Add accumulates every element of xs exactly into key's local partial.

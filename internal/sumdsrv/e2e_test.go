@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"math/rand"
@@ -65,11 +66,7 @@ func TestE2EDistributedSumBitIdentical(t *testing.T) {
 				wg.Add(1)
 				go func(w int, part []float64) {
 					defer wg.Done()
-					co, err := c.NewCombiner("")
-					if err != nil {
-						t.Error(err)
-						return
-					}
+					co := c.NewCombiner()
 					// Vary the flush cadence per worker so pushes interleave
 					// mid-stream, not only at the end.
 					r := rand.New(rand.NewSource(int64(1000*w + clients)))
@@ -152,11 +149,7 @@ func TestE2EMixedIngestAndPartialsWithSpecials(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		co, err := c.NewCombiner("dense")
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		co := c.NewCombiner()
 		co.AddSlice(xs[3:])
 		if err := co.Flush(ctx); err != nil {
 			t.Error(err)
@@ -210,59 +203,69 @@ func TestE2EChainedReducers(t *testing.T) {
 	}
 }
 
+// TestE2EEngineSelectionAndReset: the service runs one representation,
+// the dense superaccumulator, and every JSON surface that reports an
+// engine names it; a combiner's flush lands exactly and a reset empties
+// the service.
 func TestE2EEngineSelectionAndReset(t *testing.T) {
 	ctx := context.Background()
-	for _, eng := range []string{"dense", "sparse", "small", "large"} {
-		c, _ := startService(t, sumdsrv.Options{Engine: eng, Shards: 2})
-		co, err := c.NewCombiner(eng)
+	c, hs := startService(t, sumdsrv.Options{Shards: 2})
+	co := c.NewCombiner()
+	co.AddSlice([]float64{1.5, 2.5, -0.5})
+	if err := co.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 3.5 {
+		t.Fatalf("sum=%g want 3.5", got)
+	}
+	for _, path := range []string{"/v1/sum", "/v1/stats", "/v1/healthz", "/v1/keyed/partial?format=json"} {
+		resp, err := hs.Client().Get(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		co.AddSlice([]float64{1.5, 2.5, -0.5})
-		if err := co.Flush(ctx); err != nil {
-			t.Fatalf("%s: %v", eng, err)
+		var body struct {
+			Engine string `json:"engine"`
 		}
-		got, err := c.Sum(ctx)
-		if err != nil {
-			t.Fatal(err)
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || body.Engine != "dense" {
+			t.Errorf("GET %s: engine %q (err %v), want dense", path, body.Engine, err)
 		}
-		if got != 3.5 {
-			t.Fatalf("%s: sum=%g want 3.5", eng, got)
-		}
-		if err := c.Reset(ctx); err != nil {
-			t.Fatal(err)
-		}
-		got, err = c.Sum(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 0 {
-			t.Fatalf("%s: sum after reset=%g", eng, got)
-		}
+	}
+	if err := c.Reset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err = c.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("sum after reset=%g", got)
 	}
 }
 
 func TestE2ERejections(t *testing.T) {
 	ctx := context.Background()
 	c, hs := startService(t, sumdsrv.Options{})
+	prior := []float64{1e16, 0.1, -1e16, 3}
+	if err := c.AddBatch(ctx, prior); err != nil {
+		t.Fatal(err)
+	}
+	want := parsum.Sum(prior)
 
 	// Garbage partial → 400, and state is untouched.
 	if err := c.PushPartial(ctx, []byte{0xDE, 0xAD, 0xBE, 0xEF}); err == nil {
 		t.Error("garbage partial accepted")
 	}
-	// Cross-engine partial → 409.
-	sp, err := parsum.NewAccumulatorEngine("sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.Add(1)
-	blob, err := sp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = c.PushPartial(ctx, blob)
-	if err == nil {
-		t.Error("cross-engine partial accepted")
+	// A well-formed sparse partial → 400: the service holds only dense
+	// accumulators.
+	sparse, _ := sparsePayloads(t, "k", []float64{1})
+	if got := sumdclient.ErrorStatus(c.PushPartial(ctx, sparse)); got != 400 {
+		t.Errorf("sparse partial: status %d, want 400", got)
 	}
 	// Misaligned binary batch → 400.
 	resp, err := hs.Client().Post(hs.URL+"/v1/add", "application/octet-stream",
@@ -283,17 +286,9 @@ func TestE2ERejections(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Errorf("GET /v1/add: status %d, want 405", resp.StatusCode)
 	}
-	// Unknown engine at construction.
-	if _, err := sumdsrv.New(sumdsrv.Options{Engine: "no-such"}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	// Non-sharded-capable engine at construction.
-	if _, err := sumdsrv.New(sumdsrv.Options{Engine: "kahan"}); err == nil {
-		t.Error("kahan-backed service accepted")
-	}
-	// State survived all rejections.
-	if got, err := c.Sum(ctx); err != nil || got != 0 {
-		t.Errorf("state disturbed by rejected requests: sum=%g err=%v", got, err)
+	// State survived all rejections, bit for bit.
+	if got, err := c.Sum(ctx); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("state disturbed by rejected requests: sum=%g err=%v, want %g", got, err, want)
 	}
 }
 

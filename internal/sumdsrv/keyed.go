@@ -17,8 +17,9 @@ package sumdsrv
 // exchange GET→POST in either order converge to bit-identical per-key
 // sums (the keyed store's CRDT property), and a pull of [lo, hi)
 // followed by a remote push and a local reset of that range is an exact
-// key-range rebalance. Malformed or engine-mismatched payloads are
-// rejected (400/409) without disturbing any key.
+// key-range rebalance. Malformed payloads — including envelopes and
+// partials naming any engine but dense — are rejected with 400 without
+// disturbing any key.
 
 import (
 	"bytes"
@@ -30,7 +31,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"parsum"
+	"parsum/internal/core"
 	"parsum/internal/keyed"
 	"parsum/internal/wal"
 )
@@ -42,16 +43,16 @@ type KeysResponse struct {
 }
 
 // KeyedPartialsRequest is the JSON form of POST /v1/keyed/partial; each
-// blob is a base64-encoded engine wire partial (the bytes of
-// Accumulator.MarshalBinary).
+// blob is a base64-encoded dense engine wire partial (the bytes of a
+// dense Accumulator.MarshalBinary).
 type KeyedPartialsRequest struct {
-	Partials []parsum.KeyPartial `json:"partials"`
+	Partials []keyed.KeyPartial `json:"partials"`
 }
 
 // KeyedPartialsResponse is the JSON form of GET /v1/keyed/partial.
 type KeyedPartialsResponse struct {
-	Engine   string              `json:"engine"`
-	Partials []parsum.KeyPartial `json:"partials"`
+	Engine   string             `json:"engine"`
+	Partials []keyed.KeyPartial `json:"partials"`
 }
 
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
@@ -88,10 +89,10 @@ func (s *Server) handleGetKeyed(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ps == nil {
-			ps = []parsum.KeyPartial{}
+			ps = []keyed.KeyPartial{}
 		}
 		s.st.bump(&s.st.keyedSums)
-		writeJSON(w, http.StatusOK, KeyedPartialsResponse{Engine: s.keyed.Engine(), Partials: ps})
+		writeJSON(w, http.StatusOK, KeyedPartialsResponse{Engine: core.EngineDense, Partials: ps})
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want binary or json)", format))
 	}
@@ -120,20 +121,17 @@ func (s *Server) handlePushKeyed(w http.ResponseWriter, r *http.Request) {
 	var jerr error
 	if mediaType == "application/octet-stream" {
 		s.applyMu.RLock()
-		err := s.keyed.ImportMerge(body)
+		n, err := s.keyed.ImportMerge(body)
 		if err == nil {
 			jerr = s.journalBlob(wal.RecKeyedEnvelope, tok, body)
 		}
 		s.applyMu.RUnlock()
 		if err != nil {
 			s.releaseIdem(tok)
-			writeKeyedMergeError(w, err)
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		// The envelope was validated whole; count its entries the cheap
-		// way (a second decode would double the work): every entry is one
-		// key merged.
-		merged = countEnvelopeEntries(body)
+		merged = n
 	} else {
 		var req KeyedPartialsRequest
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -156,7 +154,7 @@ func (s *Server) handlePushKeyed(w http.ResponseWriter, r *http.Request) {
 		s.applyMu.RUnlock()
 		if err != nil {
 			s.releaseIdem(tok)
-			writeKeyedMergeError(w, err)
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		merged = len(req.Partials)
@@ -171,32 +169,4 @@ func (s *Server) handlePushKeyed(w http.ResponseWriter, r *http.Request) {
 	s.noteMutations(1)
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusOK, mergedResponse{Merged: merged})
-}
-
-func writeKeyedMergeError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, keyed.ErrEngineMismatch) {
-		status = http.StatusConflict
-	}
-	writeError(w, status, err)
-}
-
-// countEnvelopeEntries returns the entry count claimed by an
-// already-validated keyed envelope (magic, version, engLen, engine name,
-// then the count uvarint).
-func countEnvelopeEntries(blob []byte) int {
-	if len(blob) < 3 {
-		return 0
-	}
-	rest := blob[3+int(blob[2]):]
-	n := 0
-	shift := 0
-	for _, b := range rest {
-		n |= int(b&0x7F) << shift
-		if b < 0x80 {
-			break
-		}
-		shift += 7
-	}
-	return n
 }

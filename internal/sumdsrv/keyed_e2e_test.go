@@ -2,11 +2,12 @@
 // per-key bit-identity to parsum.Sum through both the sync and async
 // ingest paths, the keyed anti-entropy exchange (binary and JSON, both
 // push orders converging), key-range pulls, the rejection gauntlet
-// (400/404/409/501), and the keyed stats/metrics families.
+// (400/404/501), and the keyed stats/metrics families.
 package sumdsrv_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -230,12 +231,9 @@ func TestKeyedE2EExchangeConverges(t *testing.T) {
 
 	// JSON path: a third server fed both sides' partials converges too.
 	cc, _ := startService(t, sumdsrv.Options{Shards: 1, KeyPartitions: 7})
-	engine, psA, err := ca.PullKeyedPartials(ctx, "", "")
+	psA, err := ca.PullKeyedPartials(ctx, "", "")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if engine != "dense" {
-		t.Fatalf("pulled engine %q", engine)
 	}
 	// A already merged B, so A's partials alone carry the whole union.
 	if n, err := cc.PushKeyedPartials(ctx, psA); err != nil || n != len(union) {
@@ -341,17 +339,17 @@ func TestKeyedE2ERejections(t *testing.T) {
 	if got := post("/v1/keyed/partial", "application/octet-stream", "\xC9\x01\x05dense"); got != 400 {
 		t.Errorf("truncated envelope: status %d, want 400", got)
 	}
-	// Engine mismatch → 409: a sparse server's envelope pushed here.
-	sparse, _ := startService(t, sumdsrv.Options{Engine: "sparse"})
-	if err := sparse.AddKeyed(ctx, "x", []float64{2}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sparse.PullKeyed(ctx, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := post("/v1/keyed/partial", "application/octet-stream", string(blob)); got != 409 {
-		t.Errorf("cross-engine envelope: status %d, want 409", got)
+	// Well-formed sparse state → 400 in both body forms: the store
+	// holds only dense accumulators, for "good" as for a new key.
+	for _, key := range []string{"good", "x"} {
+		partial, envelope := sparsePayloads(t, key, []float64{2})
+		if got := post("/v1/keyed/partial", "application/octet-stream", string(envelope)); got != 400 {
+			t.Errorf("sparse envelope for %q: status %d, want 400", key, got)
+		}
+		_, err := c.PushKeyedPartials(ctx, []parsum.KeyPartial{{Key: key, Blob: partial}})
+		if got := sumdclient.ErrorStatus(err); got != 400 {
+			t.Errorf("sparse JSON partial for %q: status %d (err %v), want 400", key, got, err)
+		}
 	}
 	// Malformed JSON partials → 400 (unknown field, trailing data, bad blob).
 	if got := post("/v1/keyed/partial", "application/json", `{"partials":[],"extra":1}`); got != 400 {
@@ -369,8 +367,11 @@ func TestKeyedE2ERejections(t *testing.T) {
 	}
 
 	// Nothing above may have disturbed the store.
-	if v, ok, err := c.SumKey(ctx, "good"); err != nil || !ok || v != 1.5 {
+	if v, ok, err := c.SumKey(ctx, "good"); err != nil || !ok || math.Float64bits(v) != math.Float64bits(1.5) {
 		t.Errorf("keyed state disturbed by rejections: (%v, %v, %v)", v, ok, err)
+	}
+	if v, err := c.Sum(ctx); err != nil || math.Float64bits(v) != 0 {
+		t.Errorf("global sum disturbed by keyed rejections: (%v, %v)", v, err)
 	}
 	if keys, err := c.Keys(ctx, "", ""); err != nil || len(keys) != 1 {
 		t.Errorf("key set disturbed by rejections: %v err=%v", keys, err)
@@ -429,11 +430,7 @@ func TestKeyedE2ECombiner(t *testing.T) {
 		wg.Add(1)
 		go func(w int, part []float64) {
 			defer wg.Done()
-			co, err := c.NewKeyedCombiner("")
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			co := c.NewKeyedCombiner()
 			r := rand.New(rand.NewSource(int64(900 + w)))
 			for i, x := range part {
 				co.Add(fmt.Sprintf("key-%d", i%keys), []float64{x})
@@ -486,4 +483,29 @@ func TestKeyedE2ECombiner(t *testing.T) {
 			t.Errorf("exposition is missing keyed family %s", name)
 		}
 	}
+}
+
+// sparsePayloads returns xs accumulated by the sparse engine twice over:
+// as an engine wire partial, and as a single-entry keyed envelope for key
+// — the payloads a peer running another representation would push. The
+// keyed envelope hoists the engine name and carries the bare payload that
+// follows it in the partial.
+func sparsePayloads(t *testing.T, key string, xs []float64) (partial, envelope []byte) {
+	t.Helper()
+	acc, err := parsum.NewAccumulatorEngine("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc.AddSlice(xs)
+	if partial, err = acc.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	name := partial[3 : 3+int(partial[2])]
+	payload := partial[3+len(name):]
+	envelope = append([]byte{0xC9, 1, byte(len(name))}, name...)
+	envelope = binary.AppendUvarint(envelope, 1)
+	envelope = binary.AppendUvarint(envelope, uint64(len(key)))
+	envelope = append(envelope, key...)
+	envelope = binary.AppendUvarint(envelope, uint64(len(payload)))
+	return partial, append(envelope, payload...)
 }

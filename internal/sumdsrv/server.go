@@ -1,5 +1,5 @@
 // Package sumdsrv implements the HTTP merge service behind cmd/sumd: a
-// network-facing reducer backed by a parsum.Sharded accumulator. Workers
+// network-facing reducer backed by a shard.Sharded accumulator. Workers
 // anywhere combine their slice of the input locally (the paper's map-side
 // combiner), serialize the exact partial with the versioned wire codec,
 // and POST it here; the service merges partials carry-free and rounds once
@@ -31,8 +31,9 @@
 //	GET  /v1/readyz   the same degradation check as a terse text probe
 //	GET  /metrics     the same counters in Prometheus text format
 //
-// Malformed payloads are rejected with 400 (decode error) or 409 (engine
-// mismatch) and never disturb accumulated state; bodies are size-capped.
+// Malformed payloads — including partials of any engine but dense, the
+// only representation the service holds — are rejected with 400 and
+// never disturb accumulated state; bodies are size-capped.
 //
 // # Async ingestion
 //
@@ -65,8 +66,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsum"
 	"parsum/internal/batch"
+	"parsum/internal/core"
+	"parsum/internal/keyed"
 	"parsum/internal/shard"
 	"parsum/internal/wal"
 )
@@ -75,13 +77,9 @@ import (
 // batch); Options.MaxBodyBytes overrides it per server.
 const MaxBodyBytes = 64 << 20
 
-// Options configures a Server; the zero value is ready to use (dense
-// engine, one shard per P, 64 MiB body cap).
+// Options configures a Server; the zero value is ready to use (one
+// shard per P, 64 MiB body cap).
 type Options struct {
-	// Engine names the summation engine backing the service; "" means
-	// dense. It must be streaming, deterministic-parallel, and
-	// wire-marshalable (the four superaccumulator engines qualify).
-	Engine string
 	// Shards is the writer-stripe count of the backing Sharded; 0 means
 	// GOMAXPROCS.
 	Shards int
@@ -91,8 +89,7 @@ type Options struct {
 	MaxBodyBytes int64
 	// KeyPartitions is the partition count of the keyed store behind the
 	// key-addressed endpoints (/v1/add with a key, /v1/sum?key=,
-	// /v1/keyed/partial); 0 means GOMAXPROCS. The keyed store shares the
-	// server's engine.
+	// /v1/keyed/partial); 0 means GOMAXPROCS.
 	KeyPartitions int
 	// Async routes /v1/add and /v1/sub through the batched ingestion
 	// front-end (see the package comment). Off by default: the sync
@@ -230,8 +227,8 @@ func (c *counters) snapshot() counterSnap {
 // Server is the merge service. It implements http.Handler and is safe for
 // concurrent use.
 type Server struct {
-	sh      *parsum.Sharded
-	keyed   *parsum.Keyed
+	sh      *shard.Sharded
+	keyed   *keyed.Store
 	bat     *batch.Batcher // nil in sync mode
 	mux     *http.ServeMux
 	start   time.Time
@@ -260,9 +257,9 @@ type Server struct {
 	st counters
 }
 
-// New returns a Server backed by a fresh Sharded accumulator. It errors
-// when the engine cannot back a deterministic sharded accumulator or its
-// partials cannot cross the wire.
+// New returns a Server backed by a fresh Sharded accumulator and keyed
+// store. It errors on a negative body cap or a WAL directory that cannot
+// be opened or replayed.
 func New(opt Options) (*Server, error) {
 	if opt.MaxBodyBytes < 0 {
 		return nil, fmt.Errorf("sumd: negative body cap %d", opt.MaxBodyBytes)
@@ -271,18 +268,8 @@ func New(opt Options) (*Server, error) {
 	if maxBody == 0 {
 		maxBody = MaxBodyBytes
 	}
-	sh, err := parsum.NewSharded(parsum.ShardedOptions{Engine: opt.Engine, Shards: opt.Shards})
-	if err != nil {
-		return nil, err
-	}
-	// Fail at construction, not first snapshot, if partials cannot ship.
-	if _, err := sh.SnapshotBytes(); err != nil {
-		return nil, fmt.Errorf("sumd: engine %q cannot serve wire partials: %w", sh.Engine(), err)
-	}
-	ks, err := parsum.NewKeyed(parsum.KeyedOptions{Engine: opt.Engine, Partitions: opt.KeyPartitions})
-	if err != nil {
-		return nil, err
-	}
+	sh := shard.New(shard.Options{Shards: opt.Shards})
+	ks := keyed.New(keyed.Options{Partitions: opt.KeyPartitions})
 	s := &Server{sh: sh, keyed: ks, mux: http.NewServeMux(), start: time.Now(), maxBody: maxBody}
 	switch {
 	case opt.DedupWindow == 0:
@@ -361,19 +348,16 @@ func New(opt Options) (*Server, error) {
 // dualSink is the async sink: the global Sharded accumulator (Sink +
 // SliceSink) joined with the keyed store (KeyedSink).
 type dualSink struct {
-	sh    *parsum.Sharded
-	keyed *parsum.Keyed
+	sh    *shard.Sharded
+	keyed *keyed.Store
 }
 
-func (d dualSink) AddBatch(xs []float64)                  { d.sh.AddBatch(xs) }
-func (d dualSink) SubBatch(xs []float64)                  { d.sh.SubBatch(xs) }
-func (d dualSink) AddBatches(batches [][]float64)         { d.sh.AddBatches(batches) }
-func (d dualSink) SubBatches(batches [][]float64)         { d.sh.SubBatches(batches) }
-func (d dualSink) AddKeyedBatches(bs []parsum.KeyedBatch) { d.keyed.AddKeyedBatches(bs) }
-func (d dualSink) SubKeyedBatches(bs []parsum.KeyedBatch) { d.keyed.SubKeyedBatches(bs) }
-
-// Engine returns the registry name of the backing engine.
-func (s *Server) Engine() string { return s.sh.Engine() }
+func (d dualSink) AddBatch(xs []float64)            { d.sh.AddBatch(xs) }
+func (d dualSink) SubBatch(xs []float64)            { d.sh.SubBatch(xs) }
+func (d dualSink) AddBatches(batches [][]float64)   { d.sh.AddBatches(batches) }
+func (d dualSink) SubBatches(batches [][]float64)   { d.sh.SubBatches(batches) }
+func (d dualSink) AddKeyedBatches(bs []keyed.Batch) { d.keyed.AddKeyedBatches(bs) }
+func (d dualSink) SubKeyedBatches(bs []keyed.Batch) { d.keyed.SubKeyedBatches(bs) }
 
 // Async reports whether the batched ingestion front-end is on.
 func (s *Server) Async() bool { return s.bat != nil }
@@ -405,7 +389,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // SumResponse is the GET /v1/sum payload. Sum is the shortest decimal
 // that round-trips to the exact float64 ("NaN", "+Inf", "-Inf" for
 // non-finite results); Bits is its IEEE-754 bit pattern in hex — the
-// field distributed bit-identity checks should compare.
+// field distributed bit-identity checks should compare. Engine is always
+// "dense", the service's one accumulator (as in every response that
+// carries the field).
 type SumResponse struct {
 	Sum    string `json:"sum"`
 	Bits   string `json:"bits"`
@@ -591,9 +577,9 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []floa
 // checkKeyParam rejects over-length keys at the network edge with 400
 // (the store itself treats them as programming errors and panics).
 func checkKeyParam(w http.ResponseWriter, key string) bool {
-	if len(key) > parsum.MaxKeyLen {
+	if len(key) > keyed.MaxKeyLen {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("key length %d exceeds limit %d", len(key), parsum.MaxKeyLen))
+			fmt.Errorf("key length %d exceeds limit %d", len(key), keyed.MaxKeyLen))
 		return false
 	}
 	return true
@@ -691,11 +677,6 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) {
-	if !s.sh.Invertible() {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("engine %q does not support exact deletion", s.sh.Engine()))
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -732,11 +713,7 @@ func (s *Server) handlePushPartial(w http.ResponseWriter, r *http.Request) {
 	s.applyMu.RUnlock()
 	if err != nil {
 		s.releaseIdem(tok)
-		status := http.StatusBadRequest
-		if errors.Is(err, shard.ErrEngineMismatch) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if jerr != nil {
@@ -778,8 +755,8 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, SumResponse{
 			Sum:    strconv.FormatFloat(v, 'g', -1, 64),
 			Bits:   strconv.FormatUint(math.Float64bits(v), 16),
-			Engine: s.keyed.Engine(),
-			Shards: s.sh.NumShards(),
+			Engine: core.EngineDense,
+			Shards: s.sh.Shards(),
 			Key:    key,
 		})
 		return
@@ -789,8 +766,8 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SumResponse{
 		Sum:    strconv.FormatFloat(v, 'g', -1, 64),
 		Bits:   strconv.FormatUint(math.Float64bits(v), 16),
-		Engine: s.sh.Engine(),
-		Shards: s.sh.NumShards(),
+		Engine: core.EngineDense,
+		Shards: s.sh.Shards(),
 	})
 }
 
@@ -823,8 +800,8 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	c := s.st.snapshot()
 	resp := StatsResponse{
-		Engine:        s.sh.Engine(),
-		Shards:        s.sh.NumShards(),
+		Engine:        core.EngineDense,
+		Shards:        s.sh.Shards(),
 		Values:        c.values,
 		Batches:       c.batches,
 		Removed:       c.removed,
@@ -897,7 +874,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c := s.st.snapshot()
 	var p batch.PromWriter
 	p.Gauge("sumd_up", "Whether the service is serving (always 1 when scraped).", 1)
-	p.Gauge("sumd_shards", "Writer-stripe count of the backing sharded accumulator.", float64(s.sh.NumShards()))
+	p.Gauge("sumd_shards", "Writer-stripe count of the backing sharded accumulator.", float64(s.sh.Shards()))
 	p.Gauge("sumd_async", "Whether the batched async ingestion front-end is enabled.", b2f(s.bat != nil))
 	p.Gauge("sumd_uptime_seconds", "Seconds since the server was constructed.", time.Since(s.start).Seconds())
 	p.Counter("sumd_values_total", "Raw float64s accepted via /v1/add.", float64(c.values))
@@ -996,7 +973,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Shards   int    `json:"shards"`
 		Degraded bool   `json:"degraded,omitempty"`
 		Error    string `json:"error,omitempty"`
-	}{OK: !bad, Engine: s.sh.Engine(), Shards: s.sh.NumShards(), Degraded: bad, Error: lastErr})
+	}{OK: !bad, Engine: core.EngineDense, Shards: s.sh.Shards(), Degraded: bad, Error: lastErr})
 }
 
 // handleReadyz is the readiness probe: identical degradation logic to

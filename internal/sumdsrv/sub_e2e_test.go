@@ -25,44 +25,41 @@ func TestE2ESubRestoresBits(t *testing.T) {
 	churn = append(churn, math.Inf(1), math.NaN(), math.Inf(-1), math.MaxFloat64)
 	want := parsum.Sum(keep)
 
-	for _, engineName := range []string{"dense", "sparse", "small", "large"} {
-		c, _ := startService(t, sumdsrv.Options{Engine: engineName, Shards: 3})
-		ctx := context.Background()
+	c, _ := startService(t, sumdsrv.Options{Shards: 3})
+	ctx := context.Background()
 
-		// Concurrent workers: each adds its slice of keep∪churn, then
-		// deletes its slice of churn again over the socket.
-		var wg sync.WaitGroup
-		for _, part := range splitSlices(keep, 4) {
-			wg.Add(1)
-			go func(part []float64) {
-				defer wg.Done()
-				if err := c.AddBatch(ctx, part); err != nil {
-					t.Error(err)
-				}
-			}(part)
-		}
-		for _, part := range splitSlices(churn, 3) {
-			wg.Add(1)
-			go func(part []float64) {
-				defer wg.Done()
-				if err := c.AddBatch(ctx, part); err != nil {
-					t.Error(err)
-				}
-				if err := c.SubBatch(ctx, part); err != nil {
-					t.Error(err)
-				}
-			}(part)
-		}
-		wg.Wait()
+	// Concurrent workers: each adds its slice of keep∪churn, then
+	// deletes its slice of churn again over the socket.
+	var wg sync.WaitGroup
+	for _, part := range splitSlices(keep, 4) {
+		wg.Add(1)
+		go func(part []float64) {
+			defer wg.Done()
+			if err := c.AddBatch(ctx, part); err != nil {
+				t.Error(err)
+			}
+		}(part)
+	}
+	for _, part := range splitSlices(churn, 3) {
+		wg.Add(1)
+		go func(part []float64) {
+			defer wg.Done()
+			if err := c.AddBatch(ctx, part); err != nil {
+				t.Error(err)
+			}
+			if err := c.SubBatch(ctx, part); err != nil {
+				t.Error(err)
+			}
+		}(part)
+	}
+	wg.Wait()
 
-		got, err := c.Sum(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: served %x, want %x", engineName,
-				math.Float64bits(got), math.Float64bits(want))
-		}
+	got, err := c.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("served %x, want %x", math.Float64bits(got), math.Float64bits(want))
 	}
 }
 
@@ -97,10 +94,7 @@ func TestE2ESubSpecialsRecover(t *testing.T) {
 func TestE2ESubSpecialMultiplicityAcrossWire(t *testing.T) {
 	c, _ := startService(t, sumdsrv.Options{})
 	ctx := context.Background()
-	co, err := c.NewCombiner("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := c.NewCombiner()
 	co.AddSlice([]float64{7, math.NaN(), math.NaN()})
 	if err := co.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -127,10 +121,7 @@ func TestE2ESubSpecialMultiplicityAcrossWire(t *testing.T) {
 	if err := c.AddBatch(ctx, []float64{math.Inf(1)}); err != nil {
 		t.Fatal(err)
 	}
-	co2, err := c.NewCombiner("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	co2 := c.NewCombiner()
 	co2.Sub(math.Inf(1))
 	if err := co2.Flush(ctx); err != nil {
 		t.Fatal(err)

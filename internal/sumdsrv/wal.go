@@ -30,8 +30,8 @@ import (
 	"net/http"
 	"sync"
 
-	"parsum"
 	"parsum/internal/batch"
+	"parsum/internal/keyed"
 	"parsum/internal/wal"
 )
 
@@ -208,7 +208,7 @@ func (s *Server) maybeSnapshot() {
 	}
 	snap, err := s.captureState()
 	if err != nil {
-		return // engines that cannot snapshot were rejected by New
+		return // dense state always encodes; skip this snapshot if not
 	}
 	if err := s.wal.WriteSnapshot(snap); err != nil {
 		return // counted in the journal's error ledger
@@ -236,9 +236,10 @@ func (s *Server) captureState() (*wal.Snapshot, error) {
 
 // recover seeds the server from what wal.Open reconstructed: snapshot
 // first, then the journaled records in order. Replay errors are
-// construction errors — they mean the directory belongs to a different
-// configuration (e.g. another engine), and silently dropping records
-// would break the durability contract.
+// construction errors — a record that does not decode (for instance a
+// partial naming an engine other than dense) means the directory is not
+// this service's, and silently dropping records would break the
+// durability contract.
 func (s *Server) recover(rec *wal.Recovered) error {
 	if snap := rec.Snapshot; snap != nil {
 		if len(snap.Global) > 0 {
@@ -247,7 +248,7 @@ func (s *Server) recover(rec *wal.Recovered) error {
 			}
 		}
 		if len(snap.Keyed) > 0 {
-			if err := s.keyed.ImportMerge(snap.Keyed); err != nil {
+			if _, err := s.keyed.ImportMerge(snap.Keyed); err != nil {
 				return fmt.Errorf("sumd: wal snapshot keyed state: %w", err)
 			}
 		}
@@ -276,18 +277,12 @@ func (s *Server) applyRecord(r wal.Record) error {
 	case wal.RecAdd:
 		s.sh.AddBatch(r.Values)
 	case wal.RecSub:
-		if !s.sh.Invertible() {
-			return fmt.Errorf("engine %q cannot replay deletions", s.sh.Engine())
-		}
 		s.sh.SubBatch(r.Values)
 	case wal.RecKeyedAdd, wal.RecKeyedSub:
 		if err := checkRecKey(r.Key); err != nil {
 			return err
 		}
 		if r.Type == wal.RecKeyedSub {
-			if !s.keyed.Invertible() {
-				return fmt.Errorf("engine %q cannot replay keyed deletions", s.keyed.Engine())
-			}
 			s.keyed.Sub(r.Key, r.Values)
 		} else {
 			s.keyed.Add(r.Key, r.Values)
@@ -298,7 +293,7 @@ func (s *Server) applyRecord(r wal.Record) error {
 		}
 		s.reserveReplayed(r.Token)
 	case wal.RecKeyedEnvelope:
-		if err := s.keyed.ImportMerge(r.Blob); err != nil {
+		if _, err := s.keyed.ImportMerge(r.Blob); err != nil {
 			return err
 		}
 		s.reserveReplayed(r.Token)
@@ -330,8 +325,8 @@ func checkRecKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("keyed record with empty key")
 	}
-	if len(key) > parsum.MaxKeyLen {
-		return fmt.Errorf("keyed record key length %d exceeds limit %d", len(key), parsum.MaxKeyLen)
+	if len(key) > keyed.MaxKeyLen {
+		return fmt.Errorf("keyed record key length %d exceeds limit %d", len(key), keyed.MaxKeyLen)
 	}
 	return nil
 }
@@ -411,7 +406,7 @@ type walKeyedSink struct {
 	keyed batch.KeyedSink
 }
 
-func (ws walKeyedSink) AddKeyedBatches(batches []parsum.KeyedBatch) {
+func (ws walKeyedSink) AddKeyedBatches(batches []keyed.Batch) {
 	ws.s.applyMu.RLock()
 	for _, b := range batches {
 		ws.s.wal.AppendKeyed(b.Key, b.Values, false)
@@ -422,7 +417,7 @@ func (ws walKeyedSink) AddKeyedBatches(batches []parsum.KeyedBatch) {
 	ws.s.walSince.Add(int64(len(batches)))
 }
 
-func (ws walKeyedSink) SubKeyedBatches(batches []parsum.KeyedBatch) {
+func (ws walKeyedSink) SubKeyedBatches(batches []keyed.Batch) {
 	ws.s.applyMu.RLock()
 	for _, b := range batches {
 		ws.s.wal.AppendKeyed(b.Key, b.Values, true)

@@ -22,6 +22,7 @@ import (
 	"parsum/internal/gen"
 	"parsum/internal/sumdclient"
 	"parsum/internal/sumdsrv"
+	"parsum/internal/wal"
 )
 
 // startServer is startService but keeps the *Server handle, for tests
@@ -77,9 +78,6 @@ func TestWALSnapshotsAndBlobReplay(t *testing.T) {
 	if !srv.Durable() || srv.Async() {
 		t.Fatalf("Durable=%t Async=%t, want durable sync server", srv.Durable(), srv.Async())
 	}
-	if srv.Engine() == "" {
-		t.Fatal("server reports no engine")
-	}
 
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 300, Delta: 80, Seed: 17}).Slice()
 	oracle, _ := parsum.NewAccumulatorEngine("dense")
@@ -125,17 +123,14 @@ func TestWALSnapshotsAndBlobReplay(t *testing.T) {
 	}
 
 	// A binary keyed envelope and the keyed JSON form.
-	kc, err := c.NewKeyedCombiner("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	kc := c.NewKeyedCombiner()
 	kc.Add("env", xs[150:200])
 	if _, err := kc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	engine, ps, err := c.PullKeyedPartials(ctx, "env", "env\x00")
+	ps, err := c.PullKeyedPartials(ctx, "env", "env\x00")
 	if err != nil || len(ps) != 1 {
-		t.Fatalf("pulling key env: engine=%q n=%d err=%v", engine, len(ps), err)
+		t.Fatalf("pulling key env: n=%d err=%v", len(ps), err)
 	}
 	if _, err := c.PushKeyedPartials(ctx, []parsum.KeyPartial{{Key: "json", Blob: ps[0].Blob}}); err != nil {
 		t.Fatal(err)
@@ -248,6 +243,54 @@ func postIdem(t *testing.T, url, contentType, token string, body []byte) int {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestWALReplayRejectsForeignEngineRecords: a journaled blob that does
+// not decode as dense state — a sparse partial, a sparse keyed envelope,
+// or sparse JSON partials — means the directory is not this service's.
+// Recovery must refuse to start rather than drop the record, even after
+// valid records.
+func TestWALReplayRejectsForeignEngineRecords(t *testing.T) {
+	partial, envelope := sparsePayloads(t, "k", []float64{2.5})
+	jsonBody, err := json.Marshal(sumdsrv.KeyedPartialsRequest{
+		Partials: []parsum.KeyPartial{{Key: "k", Blob: partial}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		typ  wal.Type
+		blob []byte
+	}{
+		{wal.RecPartial, partial},
+		{wal.RecKeyedEnvelope, envelope},
+		{wal.RecKeyedJSON, jsonBody},
+	} {
+		t.Run(tc.typ.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			wlog, _, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.PolicyOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wlog.AppendBatch([]float64{1, 2}, false)
+			wlog.AppendKeyed("k", []float64{3}, false)
+			wlog.AppendBlob(tc.typ, "", tc.blob)
+			if err := wlog.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := wlog.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := sumdsrv.New(sumdsrv.Options{WALDir: dir})
+			if err == nil {
+				srv.Close()
+				t.Fatalf("server started from a WAL holding a sparse %s record", tc.typ)
+			}
+			if !strings.Contains(err.Error(), "wal replay record 2") {
+				t.Errorf("error %q does not name the offending record", err)
+			}
+		})
+	}
 }
 
 // TestWALAsyncConcurrentDurability hammers a WAL-enabled async server

@@ -2,9 +2,8 @@ package parsum
 
 import "parsum/internal/keyed"
 
-// KeyedOptions configures NewKeyed; the zero value is ready to use
-// (dense engine, one partition per P). See keyed.Options for field
-// documentation.
+// KeyedOptions configures NewKeyed; the zero value is ready to use (one
+// partition per P). See keyed.Options for field documentation.
 type KeyedOptions = keyed.Options
 
 // KeyedBatch is one keyed ingestion unit: a key and the values bound
@@ -14,16 +13,17 @@ type KeyedBatch = keyed.Batch
 // KeySum is one entry of a whole-store keyed snapshot.
 type KeySum = keyed.KeySum
 
-// KeyPartial is one key's exact partial sum as an engine wire envelope —
-// the JSON-friendly unit of the keyed exchange; see Keyed.ExportPartials.
+// KeyPartial is one key's exact partial sum as a dense engine wire
+// envelope — the JSON-friendly unit of the keyed exchange; see
+// Keyed.ExportPartials.
 type KeyPartial = keyed.KeyPartial
 
 // MaxKeyLen bounds key length for every keyed operation.
 const MaxKeyLen = keyed.MaxKeyLen
 
 // Keyed is the multi-key exact aggregation store: a concurrent map from
-// string keys to exact accumulators, each key's sum as exact as Sum over
-// that key's surviving multiset. Because exact summation is a
+// string keys to dense superaccumulators, each key's sum as exact as Sum
+// over that key's surviving multiset. Because exact summation is a
 // commutative group, the per-key partials form a state-based CRDT:
 // stores that exchange exported partials (ExportRange/ImportMerge)
 // converge to bit-identical per-key sums regardless of exchange order.
@@ -32,25 +32,13 @@ type Keyed struct {
 	s *keyed.Store
 }
 
-// NewKeyed returns an empty keyed store. It errors when opt.Engine is
-// unknown, lacks the Streaming and DeterministicParallel capabilities,
-// or cannot marshal wire partials (keyed state must be exchangeable).
+// NewKeyed returns an empty keyed store. The error is always nil.
 func NewKeyed(opt KeyedOptions) (*Keyed, error) {
-	s, err := keyed.New(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Keyed{s: s}, nil
+	return &Keyed{s: keyed.New(opt)}, nil
 }
-
-// Engine returns the registry name of the engine backing every key.
-func (k *Keyed) Engine() string { return k.s.Engine() }
 
 // Partitions returns the number of key stripes.
 func (k *Keyed) Partitions() int { return k.s.Partitions() }
-
-// Invertible reports whether the backing engine supports exact deletion.
-func (k *Keyed) Invertible() bool { return k.s.Invertible() }
 
 // Add accumulates every element of xs exactly into key's accumulator.
 // An empty xs still registers the key at exact +0. Panics on an empty
@@ -58,7 +46,7 @@ func (k *Keyed) Invertible() bool { return k.s.Invertible() }
 func (k *Keyed) Add(key string, xs []float64) { k.s.Add(key, xs) }
 
 // Sub deletes every element of xs exactly from key's accumulator — the
-// group inverse of Add. Panics when the engine is not Invertible.
+// group inverse of Add.
 func (k *Keyed) Sub(key string, xs []float64) { k.s.Sub(key, xs) }
 
 // Sum returns the correctly rounded exact sum of key's multiset and
@@ -94,11 +82,10 @@ func (k *Keyed) DeleteRange(lo, hi string) int { return k.s.DeleteRange(lo, hi) 
 func (k *Keyed) AddKeyedBatches(bs []KeyedBatch) { k.s.AddKeyedBatches(bs) }
 
 // SubKeyedBatches deletes a group of keyed batches, grouped like
-// AddKeyedBatches. Panics when the engine is not Invertible.
+// AddKeyedBatches.
 func (k *Keyed) SubKeyedBatches(bs []KeyedBatch) { k.s.SubKeyedBatches(bs) }
 
-// Merge folds every key of o into k; o is unchanged. Mixing engines
-// panics, as in Accumulator.Merge.
+// Merge folds every key of o into k; o is unchanged.
 func (k *Keyed) Merge(o *Keyed) { k.s.Merge(o.s) }
 
 // ExportAll returns the whole store as one keyed binary envelope — the
@@ -111,16 +98,20 @@ func (k *Keyed) ExportAll() ([]byte, error) { return k.s.ExportAll() }
 func (k *Keyed) ExportRange(lo, hi string) ([]byte, error) { return k.s.ExportRange(lo, hi) }
 
 // ImportMerge decodes a keyed envelope and folds every entry in,
-// creating missing keys. Malformed or engine-mismatched payloads return
-// an error and leave the store bit-for-bit unchanged; the whole envelope
+// creating missing keys. Malformed payloads — including an envelope
+// naming any engine but dense — return an error and leave the store
+// bit-for-bit unchanged; the whole envelope
 // is validated before anything is applied. Importing the same set of
 // exported partials in any order converges to bit-identical per-key
 // sums.
-func (k *Keyed) ImportMerge(data []byte) error { return k.s.ImportMerge(data) }
+func (k *Keyed) ImportMerge(data []byte) error {
+	_, err := k.s.ImportMerge(data)
+	return err
+}
 
-// ExportPartials returns the keys in [lo, hi) as per-key engine wire
-// envelopes sorted by key — the JSON-friendly form of ExportRange; each
-// Blob is an ordinary Accumulator wire partial.
+// ExportPartials returns the keys in [lo, hi) as per-key dense engine
+// wire envelopes sorted by key — the JSON-friendly form of ExportRange;
+// each Blob is an ordinary Accumulator wire partial.
 func (k *Keyed) ExportPartials(lo, hi string) ([]KeyPartial, error) {
 	return k.s.ExportPartials(lo, hi)
 }

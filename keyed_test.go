@@ -1,6 +1,7 @@
 package parsum_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -15,8 +16,8 @@ func TestKeyedPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Engine() != "dense" || k.Partitions() != 3 || !k.Invertible() {
-		t.Fatalf("defaults: engine=%q partitions=%d invertible=%v", k.Engine(), k.Partitions(), k.Invertible())
+	if k.Partitions() != 3 {
+		t.Fatalf("partitions=%d, want 3", k.Partitions())
 	}
 	data := map[string][]float64{
 		"alpha": {1e300, 1, -1e300},
@@ -40,11 +41,21 @@ func TestKeyedPublicSurface(t *testing.T) {
 	if got := k.Keys(); len(got) != 3 || got[0] != "alpha" {
 		t.Fatalf("Keys = %v", got)
 	}
+	if got := k.KeysRange("b", "c"); len(got) != 1 || got[0] != "beta" {
+		t.Fatalf("KeysRange(b, c) = %v, want [beta]", got)
+	}
+	all, err := k.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Binary exchange into a second store with a different layout.
 	blob, err := k.ExportRange("", "")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, all) {
+		t.Fatal("ExportRange over every key differs from ExportAll")
 	}
 	k2, err := parsum.NewKeyed(parsum.KeyedOptions{Partitions: 7})
 	if err != nil {
@@ -102,7 +113,28 @@ func TestKeyedPublicSurface(t *testing.T) {
 		t.Errorf("merged m = (%v, %v), want 1", v, ok)
 	}
 
-	if _, err := parsum.NewKeyed(parsum.KeyedOptions{Engine: "no-such-engine"}); err == nil {
-		t.Error("unknown engine accepted")
+	// A well-formed partial of any engine but dense is malformed input:
+	// rejected, the store unchanged.
+	sp, err := parsum.NewAccumulatorEngine("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Add(7)
+	spBlob, err := sp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := k3.Snapshot()
+	if err := k3.MergeKeyPartials([]parsum.KeyPartial{{Key: "m", Blob: spBlob}}); err == nil {
+		t.Error("sparse key partial accepted")
+	}
+	after := k3.Snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("rejected partial changed the key set: %d -> %d keys", len(before), len(after))
+	}
+	for i := range before {
+		if before[i].Key != after[i].Key || math.Float64bits(before[i].Sum) != math.Float64bits(after[i].Sum) {
+			t.Errorf("rejected partial changed %q: %v -> %v", before[i].Key, before[i].Sum, after[i].Sum)
+		}
 	}
 }

@@ -310,34 +310,25 @@ func (a *Accumulator) Reset() { a.a.Reset() }
 func (a *Accumulator) Clone() *Accumulator { return &Accumulator{name: a.name, a: a.a.Clone()} }
 
 // ShardedOptions configures NewSharded; the zero value is ready to use
-// (dense engine, one shard per P). See shard.Options for field
-// documentation.
+// (one shard per P). See shard.Options for field documentation.
 type ShardedOptions = shard.Options
 
 // Sharded is the concurrent ingestion surface: a sharded, many-writer
 // accumulator whose Snapshot/Sum are bit-identical to summing the same
 // values sequentially, regardless of shard count, writer interleaving, or
-// snapshot timing. Writers stripe across per-shard accumulators (no
-// contention in the steady state); snapshots hand each shard a fresh
+// snapshot timing. Writers stripe across per-shard dense
+// superaccumulators (no contention in the steady state); snapshots hand each shard a fresh
 // pooled accumulator and fold the taken partials through the log-depth
 // Lemma 1 merge tree. All methods are safe for concurrent use.
 type Sharded struct {
 	s *shard.Sharded
 }
 
-// NewSharded returns an empty sharded accumulator. It errors when
-// opt.Engine is unknown or lacks the Streaming and DeterministicParallel
-// capabilities that make sharded ingestion deterministic (see Engines()).
+// NewSharded returns an empty sharded accumulator backed by the dense
+// superaccumulator. The error is always nil.
 func NewSharded(opt ShardedOptions) (*Sharded, error) {
-	s, err := shard.New(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Sharded{s: s}, nil
+	return &Sharded{s: shard.New(opt)}, nil
 }
-
-// Engine returns the registry name of the engine backing every shard.
-func (s *Sharded) Engine() string { return s.s.Engine() }
 
 // NumShards returns the number of writer stripes.
 func (s *Sharded) NumShards() int { return s.s.Shards() }
@@ -354,23 +345,18 @@ func (s *Sharded) AddBatch(xs []float64) { s.s.AddBatch(xs) }
 // a coalesced flush group applies without concatenating request bodies.
 func (s *Sharded) AddBatches(batches [][]float64) { s.s.AddBatches(batches) }
 
-// Invertible reports whether the backing engine supports exact deletion
-// (Sub/SubBatch).
-func (s *Sharded) Invertible() bool { return s.s.Invertible() }
-
 // Sub deletes x from the accumulated sum exactly. Deletion is as exact as
 // insertion, so any interleaving of adds and subs that leaves the same
-// multiset snapshots to the same bits. Panics when the engine is not
-// Invertible.
+// multiset snapshots to the same bits.
 func (s *Sharded) Sub(x float64) { s.s.Sub(x) }
 
 // SubBatch deletes every element of xs exactly, amortizing the shard
-// handoff over the batch. Panics when the engine is not Invertible.
+// handoff over the batch.
 func (s *Sharded) SubBatch(xs []float64) { s.s.SubBatch(xs) }
 
 // SubBatches deletes every slice in batches exactly under one
 // striped-lock acquisition — the deletion half of the batch.SliceSink
-// flush entry point. Panics when the engine is not Invertible.
+// flush entry point.
 func (s *Sharded) SubBatches(batches [][]float64) { s.s.SubBatches(batches) }
 
 // Sum returns the correctly rounded exact sum of everything ingested so
@@ -386,7 +372,7 @@ func (s *Sharded) Snapshot() float64 { return s.s.Snapshot() }
 func (s *Sharded) Reset() { s.s.Reset() }
 
 // Merge folds the exact contents of o into s; o is unchanged and remains
-// usable. Both sides must use the same engine; mixing engines panics.
+// usable.
 func (s *Sharded) Merge(o *Sharded) { s.s.Merge(o.s) }
 
 // SnapshotBytes folds everything ingested so far and returns its exact
@@ -397,8 +383,9 @@ func (s *Sharded) SnapshotBytes() ([]byte, error) { return s.s.SnapshotBytes() }
 
 // MergeBytes decodes a wire partial (produced by Accumulator.MarshalBinary
 // or Sharded.SnapshotBytes anywhere — another process, another machine)
-// and folds its exact contents in. Malformed or engine-mismatched payloads
-// return an error and leave s unchanged. Pushing the same partials in any
+// and folds its exact contents in. Malformed payloads — including a
+// partial of any engine but dense — return an error and leave s
+// unchanged. Pushing the same partials in any
 // order yields a bit-identical Sum: the merge is exact and rounding
 // happens once, at Sum.
 func (s *Sharded) MergeBytes(data []byte) error { return s.s.MergeBytes(data) }
@@ -419,12 +406,10 @@ func (w *ShardedWriter) Add(x float64) { w.w.Add(x) }
 // AddBatch accumulates every element of xs exactly into the writer's shard.
 func (w *ShardedWriter) AddBatch(xs []float64) { w.w.AddBatch(xs) }
 
-// Sub deletes x exactly from the writer's shard. Panics when the engine is
-// not Invertible.
+// Sub deletes x exactly from the writer's shard.
 func (w *ShardedWriter) Sub(x float64) { w.w.Sub(x) }
 
 // SubBatch deletes every element of xs exactly from the writer's shard.
-// Panics when the engine is not Invertible.
 func (w *ShardedWriter) SubBatch(xs []float64) { w.w.SubBatch(xs) }
 
 // MRConfig configures MapReduceSum; see the mapreduce package for field

@@ -187,9 +187,6 @@ func TestPropShardedGroupLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Invertible() {
-			t.Fatal("dense-backed Sharded must be invertible")
-		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)

@@ -213,8 +213,8 @@ func TestShardedPublicAPI(t *testing.T) {
 	}
 
 	// Merge two sharded accumulators built from disjoint halves.
-	a, _ := parsum.NewSharded(parsum.ShardedOptions{Engine: "sparse"})
-	b, _ := parsum.NewSharded(parsum.ShardedOptions{Engine: "sparse"})
+	a, _ := parsum.NewSharded(parsum.ShardedOptions{})
+	b, _ := parsum.NewSharded(parsum.ShardedOptions{Shards: 3})
 	a.AddBatch(xs[:len(xs)/2])
 	b.AddBatch(xs[len(xs)/2:])
 	a.Merge(b)
@@ -227,10 +227,85 @@ func TestShardedPublicAPI(t *testing.T) {
 		t.Fatalf("Sum after Reset = %g", got)
 	}
 
-	if _, err := parsum.NewSharded(parsum.ShardedOptions{Engine: "pairwise"}); err == nil {
-		t.Fatal("NewSharded accepted a non-deterministic engine")
+	// A well-formed partial of any engine but dense is malformed input:
+	// rejected, the sum bit-identical.
+	s.Add(0.5)
+	before := s.Sum()
+	sp, err := parsum.NewAccumulatorEngine("sparse")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parsum.NewSharded(parsum.ShardedOptions{Engine: "nope"}); err == nil {
-		t.Fatal("NewSharded accepted an unknown engine")
+	sp.AddSlice(xs)
+	blob, err := sp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MergeBytes(blob); err == nil {
+		t.Fatal("MergeBytes accepted a sparse partial")
+	}
+	if got := s.Sum(); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("rejected partial changed the sum: %g -> %g", before, got)
+	}
+}
+
+// TestShardedBatchSurface drives the batch-shaped half of the Sharded
+// facade — grouped flushes, deletions on the striped and writer-pinned
+// paths — and demands the bits of summing the surviving values alone.
+func TestShardedBatchSurface(t *testing.T) {
+	keep := gen.New(gen.Config{Dist: gen.Random, N: 3000, Delta: 900, Seed: 41}).Slice()
+	churn := gen.New(gen.Config{Dist: gen.Anderson, N: 2000, Delta: 600, Seed: 42}).Slice()
+	s, err := parsum.NewSharded(parsum.ShardedOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumShards() != 3 {
+		t.Fatalf("NumShards = %d, want 3", s.NumShards())
+	}
+	s.AddBatches([][]float64{keep[:1000], churn, keep[1000:]})
+	s.SubBatches([][]float64{churn[:500]})
+	s.SubBatch(churn[500:1000])
+	for _, x := range churn[1000:1500] {
+		s.Sub(x)
+	}
+	w := s.Writer()
+	w.AddBatch([]float64{1e300, -1e300})
+	w.SubBatch([]float64{1e300, -1e300})
+	for _, x := range churn[1500:] {
+		w.Sub(x)
+	}
+	if got, want := s.Sum(), parsum.Sum(keep); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Sum = %x, want %x", math.Float64bits(got), math.Float64bits(want))
+	}
+}
+
+// TestAccumulatorFloat32Surface: the float32 bulk paths are bit-identical
+// to widening and adding, on engines with a native narrow-lane path and
+// on one without (large), and deleting the same slice restores +0.
+func TestAccumulatorFloat32Surface(t *testing.T) {
+	xs := []float32{1, 0x1p-20, 3e38, -3e38, 0x1p-149, 0x1p-149, -2.25}
+	wide := make([]float64, len(xs))
+	for i, x := range xs {
+		wide[i] = float64(x)
+	}
+	want := parsum.Sum(wide)
+	for _, name := range []string{"dense", "large"} {
+		a, err := parsum.NewAccumulatorEngine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.AddSlice32(xs)
+		if got := a.Round(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: AddSlice32 = %g, want %g", name, got, want)
+		}
+		if got := a.Round32(); got != float32(want) {
+			t.Errorf("%s: Round32 = %g, want %g", name, got, float32(want))
+		}
+		a.SubSlice32(xs)
+		if got := a.Round(); math.Float64bits(got) != 0 {
+			t.Errorf("%s: SubSlice32 left %g, want +0", name, got)
+		}
+	}
+	if got, want := parsum.Sum32(xs), float32(want); got != want {
+		t.Errorf("Sum32 = %g, want %g", got, want)
 	}
 }
