@@ -23,7 +23,8 @@
 // with bit-identical pre-crash sums. -fsync picks the commit durability
 // (always | interval | off), -segbytes the segment rotation threshold,
 // and -snapshot-every N writes a state snapshot (truncating the
-// replayed log) every N journaled mutations:
+// replayed log) every N journaled mutations; a snapshot is also written
+// whenever the log since the last one passes 1 GiB:
 //
 //	sumd -wal /var/lib/sumd/wal -fsync always -snapshot-every 100000
 //
@@ -81,7 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		walDir   = fs.String("wal", "", "write-ahead-log directory; journal every ingest and recover on startup (empty = no durability)")
 		fsyncPol = fs.String("fsync", "", "wal: fsync policy: always, interval, or off (default always)")
 		segBytes = fs.Int64("segbytes", 0, "wal: segment rotation threshold in bytes (0 = 64 MiB)")
-		snapN    = fs.Int("snapshot-every", 0, "wal: write a snapshot every N journaled mutations (0 = never)")
+		snapN    = fs.Int("snapshot-every", 0, "wal: write a snapshot every N journaled mutations (0 = only when the log passes 1 GiB)")
 		timeouts = httpd.Flags(fs)
 	)
 	if err := fs.Parse(args); err != nil {

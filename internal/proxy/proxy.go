@@ -51,7 +51,6 @@
 package proxy
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,6 +64,7 @@ import (
 
 	"parsum/internal/batch"
 	"parsum/internal/core"
+	"parsum/internal/f64le"
 	"parsum/internal/keyed"
 	"parsum/internal/ring"
 	"parsum/internal/sumdclient"
@@ -306,36 +306,45 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // decodeValues reads the request body as raw little-endian float64s
-// (application/octet-stream) or JSON {"values":[...]}.
+// (application/octet-stream, decoded by internal/f64le straight into
+// the value slice) or JSON {"values":[...]}. A body over the cap is a
+// 413, a malformed one a 400.
 func (p *Proxy) decodeValues(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, p.maxBody+1))
+	body := http.MaxBytesReader(w, r.Body, p.maxBody)
+	var xs []float64
+	var err error
+	switch {
+	case r.Header.Get("Content-Type") == "application/json":
+		xs, err = decodeJSONValues(body)
+	case r.ContentLength > p.maxBody:
+		err = &http.MaxBytesError{Limit: p.maxBody}
+	default:
+		xs, err = f64le.Read(body, r.ContentLength, nil)
+	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		return nil, false
-	}
-	if int64(len(body)) > p.maxBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", p.maxBody)
-		return nil, false
-	}
-	if ct := r.Header.Get("Content-Type"); ct == "application/json" {
-		var req struct {
-			Values []float64 `json:"values"`
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
 		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding JSON body: %v", err)
-			return nil, false
-		}
-		return req.Values, true
-	}
-	if len(body)%8 != 0 {
-		writeErr(w, http.StatusBadRequest, "octet-stream body length %d is not a multiple of 8", len(body))
+		writeErr(w, status, "reading body: %v", err)
 		return nil, false
-	}
-	xs := make([]float64, len(body)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	return xs, true
+}
+
+func decodeJSONValues(body io.Reader) ([]float64, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, err
+	}
+	var req struct {
+		Values []float64 `json:"values"`
+	}
+	if err := json.Unmarshal(data, &req); err != nil {
+		return nil, fmt.Errorf("decoding JSON body: %w", err)
+	}
+	return req.Values, nil
 }
 
 // envelope builds the single-key keyed envelope carrying xs (negated

@@ -2,6 +2,7 @@ package proxy_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -175,6 +176,55 @@ func TestWriteValidation(t *testing.T) {
 	}
 	if drain(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ragged octet body: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWriteRawBodies pins the proxy's body edge: octet-stream bodies,
+// declared or chunked, decode bit-exactly, and any body over the cap —
+// declared, chunked or JSON — is a 413 that reaches no replica.
+func TestWriteRawBodies(t *testing.T) {
+	f := startFleet(t, 1, sumdsrv.Options{})
+	_, hs := newProxy(t, f, func(o *proxy.Options) { o.MaxBodyBytes = 80 })
+	le := func(xs []float64) string {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return string(b)
+	}
+	xs := []float64{1e300, math.Copysign(0, -1), -1e300, 0x1p-1074}
+	for _, body := range []io.Reader{strings.NewReader(le(xs)), io.MultiReader(strings.NewReader(le(xs)))} {
+		resp, err := http.Post(hs.URL+"/v1/add?key=k", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := drain(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("raw add: %d %s", resp.StatusCode, b)
+		}
+	}
+	over := le(make([]float64, 11))
+	for name, req := range map[string]struct {
+		ct   string
+		body io.Reader
+	}{
+		"declared": {"application/octet-stream", strings.NewReader(over)},
+		"chunked":  {"application/octet-stream", io.MultiReader(strings.NewReader(over))},
+		"json":     {"application/json", strings.NewReader(`{"values":[` + strings.Repeat("1,", 40) + `1]}`)},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/add?key=k", req.ct, req.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drain(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body over the cap: %d, want 413", name, resp.StatusCode)
+		}
+	}
+	v, ok, err := f.direct[f.names[0]].SumKey(context.Background(), "k")
+	if err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if want := parsum.Sum(append(append([]float64{}, xs...), xs...)); math.Float64bits(v) != math.Float64bits(want) {
+		t.Fatalf("replica bits %016x, want %016x", math.Float64bits(v), math.Float64bits(want))
 	}
 }
 

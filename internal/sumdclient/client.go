@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -23,11 +22,13 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"parsum/internal/accum"
 	"parsum/internal/core"
+	"parsum/internal/f64le"
 	"parsum/internal/sumdsrv"
 )
 
@@ -141,14 +142,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // for up to Retry429 attempts when the service sheds it with 429 (safe:
 // a 429 guarantees the batch was not applied).
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) ([]byte, error) {
-	return c.doIdem(ctx, method, path, contentType, "", body)
+	return c.doIdem(ctx, method, path, contentType, "", body, false)
 }
 
 // doIdem is do with an Idempotency-Key token attached to every send.
 // The combiners use it so a push whose response was lost can be re-sent
-// without the service applying it twice.
-func (c *Client) doIdem(ctx context.Context, method, path, contentType, token string, body []byte) ([]byte, error) {
-	data, err := c.doOnce(ctx, method, path, contentType, token, body)
+// without the service applying it twice. aliased marks a body the
+// caller still owns (see fence).
+func (c *Client) doIdem(ctx context.Context, method, path, contentType, token string, body []byte, aliased bool) ([]byte, error) {
+	data, err := c.doOnce(ctx, method, path, contentType, token, body, aliased)
 	for attempt := 0; attempt < c.Retry429; attempt++ {
 		var ae *apiError
 		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests {
@@ -158,7 +160,7 @@ func (c *Client) doIdem(ctx context.Context, method, path, contentType, token st
 		if serr := c.sleep(ctx, c.backoff(attempt, ae)); serr != nil {
 			return nil, serr
 		}
-		data, err = c.doOnce(ctx, method, path, contentType, token, body)
+		data, err = c.doOnce(ctx, method, path, contentType, token, body, aliased)
 	}
 	return data, err
 }
@@ -211,13 +213,13 @@ func (c *Client) backoff(attempt int, ae *apiError) time.Duration {
 	return d/2 + time.Duration(c.jitter(int64(d/2)+1))
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path, contentType, token string, body []byte) ([]byte, error) {
+func (c *Client) doOnce(ctx context.Context, method, path, contentType, token string, body []byte, aliased bool) ([]byte, error) {
 	if c.Breaker != nil {
 		if err := c.Breaker.Allow(); err != nil {
 			return nil, err
 		}
 	}
-	data, status, err := c.send(ctx, method, path, contentType, token, body)
+	data, status, err := c.send(ctx, method, path, contentType, token, body, aliased)
 	if c.Breaker != nil {
 		// Failure = nothing came back (status 0), or the backend itself
 		// is broken (5xx). Any non-5xx response — including a 429 shed or
@@ -234,8 +236,9 @@ func (c *Client) doOnce(ctx context.Context, method, path, contentType, token st
 // send performs one HTTP exchange. status is nonzero whenever a
 // response arrived, even one that send turns into an error — the
 // breaker needs "backend answered 429" and "connection refused" to be
-// distinguishable.
-func (c *Client) send(ctx context.Context, method, path, contentType, token string, body []byte) (data []byte, status int, err error) {
+// distinguishable. An aliased body is fenced for the duration of the
+// call: no read of it can happen once send has returned.
+func (c *Client) send(ctx context.Context, method, path, contentType, token string, body []byte, aliased bool) (data []byte, status int, err error) {
 	// Give context.Background() callers a real deadline; never tighten a
 	// deadline the caller chose.
 	if c.Timeout > 0 {
@@ -248,6 +251,12 @@ func (c *Client) send(ctx context.Context, method, path, contentType, token stri
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
+	}
+	if aliased && len(body) > 0 {
+		f := &fence{}
+		defer f.release()
+		req.Body = f.reader(body)
+		req.GetBody = func() (io.ReadCloser, error) { return f.reader(body), nil }
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -316,9 +325,11 @@ func parseRetryAfter(v string, now time.Time) (d time.Duration, ok bool) {
 }
 
 // AddBatch ships xs to the service as raw little-endian float64s — exact
-// for every value, including non-finite ones.
+// for every value, including non-finite ones. The body is the memory of
+// xs itself, not a packed copy; xs must not be modified during the
+// call, and is never read after it returns.
 func (c *Client) AddBatch(ctx context.Context, xs []float64) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/add", "application/octet-stream", packFloats(xs))
+	_, err := c.doIdem(ctx, http.MethodPost, "/v1/add", "application/octet-stream", "", f64le.Encode(xs), true)
 	return err
 }
 
@@ -326,19 +337,59 @@ func (c *Client) AddBatch(ctx context.Context, xs []float64) error {
 // The service's sum after any add/sub history is bit-identical to summing
 // the surviving multiset from scratch (exact for every value, including
 // non-finite ones: the deletion happens in the service's in-memory group
-// representation).
+// representation). Like AddBatch, it sends the memory of xs without a
+// copy and never reads xs after it returns.
 func (c *Client) SubBatch(ctx context.Context, xs []float64) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/sub", "application/octet-stream", packFloats(xs))
+	_, err := c.doIdem(ctx, http.MethodPost, "/v1/sub", "application/octet-stream", "", f64le.Encode(xs), true)
 	return err
 }
 
-func packFloats(xs []float64) []byte {
-	body := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
-	}
-	return body
+// errReleased fails a read of a fenced body after its call returned.
+var errReleased = errors.New("sumd: request body read after the call returned")
+
+// fence guards a request body that aliases caller-owned memory (the
+// view of an AddBatch slice). The transport may still be reading a body
+// after RoundTrip returns — a server that answers early, e.g. 413,
+// without consuming it — while the caller, whose call has returned, may
+// already be overwriting the slice. Every read of a fenced reader holds
+// the fence's lock while it copies, and release takes that lock, so
+// once release returns no read touches the memory again; later reads
+// fail with errReleased.
+type fence struct {
+	mu       sync.Mutex
+	released bool
 }
+
+func (f *fence) release() {
+	f.mu.Lock()
+	f.released = true
+	f.mu.Unlock()
+}
+
+// reader returns a fresh reader over b behind the fence (one per
+// transport attempt: GetBody calls it again for a retry).
+func (f *fence) reader(b []byte) io.ReadCloser { return &fencedReader{f: f, b: b} }
+
+type fencedReader struct {
+	f *fence
+	b []byte
+}
+
+func (r *fencedReader) Read(p []byte) (int, error) {
+	r.f.mu.Lock()
+	defer r.f.mu.Unlock()
+	if r.f.released {
+		return 0, errReleased
+	}
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+func (r *fencedReader) Close() error { return nil }
 
 // PushPartial merges a serialized wire partial (Accumulator.MarshalBinary
 // or Sharded.SnapshotBytes) into the service.
@@ -452,7 +503,7 @@ func (co *Combiner) pushPending(ctx context.Context) error {
 	if co.pending == nil {
 		return nil
 	}
-	if _, err := co.c.doIdem(ctx, http.MethodPost, "/v1/partial", "application/octet-stream", co.token, co.pending); err != nil {
+	if _, err := co.c.doIdem(ctx, http.MethodPost, "/v1/partial", "application/octet-stream", co.token, co.pending, false); err != nil {
 		return err
 	}
 	co.pending, co.token = nil, ""
@@ -472,7 +523,7 @@ func NewIdemToken() string { return newIdemToken() }
 // dedup). It returns how many keys were merged — 0 with a nil error
 // when the service recognized the token and deduplicated the push.
 func (c *Client) PushKeyedIdem(ctx context.Context, token string, blob []byte) (int, error) {
-	data, err := c.doIdem(ctx, http.MethodPost, "/v1/keyed/partial", "application/octet-stream", token, blob)
+	data, err := c.doIdem(ctx, http.MethodPost, "/v1/keyed/partial", "application/octet-stream", token, blob, false)
 	if err != nil {
 		return 0, err
 	}

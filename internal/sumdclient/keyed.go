@@ -17,6 +17,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"parsum/internal/f64le"
 	"parsum/internal/keyed"
 )
 
@@ -40,14 +41,14 @@ func rangeQuery(path, lo, hi string) string {
 // little-endian float64s — exact for every value, including non-finite
 // ones. An empty xs still registers the key at exact +0.
 func (c *Client) AddKeyed(ctx context.Context, key string, xs []float64) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/add"+keyQuery(key), "application/octet-stream", packFloats(xs))
+	_, err := c.do(ctx, http.MethodPost, "/v1/add"+keyQuery(key), "application/octet-stream", f64le.Append(nil, xs))
 	return err
 }
 
 // SubKeyed deletes xs exactly from key's accumulator — the inverse of
 // AddKeyed.
 func (c *Client) SubKeyed(ctx context.Context, key string, xs []float64) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/sub"+keyQuery(key), "application/octet-stream", packFloats(xs))
+	_, err := c.do(ctx, http.MethodPost, "/v1/sub"+keyQuery(key), "application/octet-stream", f64le.Append(nil, xs))
 	return err
 }
 
@@ -230,7 +231,7 @@ func (co *KeyedCombiner) Flush(ctx context.Context) (int, error) {
 }
 
 func (co *KeyedCombiner) pushPending(ctx context.Context) (int, error) {
-	data, err := co.c.doIdem(ctx, http.MethodPost, "/v1/keyed/partial", "application/octet-stream", co.token, co.pending)
+	data, err := co.c.doIdem(ctx, http.MethodPost, "/v1/keyed/partial", "application/octet-stream", co.token, co.pending, false)
 	if err != nil {
 		return 0, err
 	}

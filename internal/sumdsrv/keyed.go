@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"strconv"
 
@@ -109,17 +108,13 @@ func (s *Server) handlePushKeyed(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mediaType := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(mediaType); err == nil {
-		mediaType = mt
-	}
 	tok, ok := s.reserveIdem(w, r.Header.Get("Idempotency-Key"))
 	if !ok {
 		return
 	}
 	var merged int
 	var jerr error
-	if mediaType == "application/octet-stream" {
+	if mediaType(r) == "application/octet-stream" {
 		s.applyMu.RLock()
 		n, err := s.keyed.ImportMerge(body)
 		if err == nil {

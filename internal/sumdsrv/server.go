@@ -53,7 +53,6 @@ package sumdsrv
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,6 +67,7 @@ import (
 
 	"parsum/internal/batch"
 	"parsum/internal/core"
+	"parsum/internal/f64le"
 	"parsum/internal/keyed"
 	"parsum/internal/shard"
 	"parsum/internal/wal"
@@ -123,8 +123,10 @@ type Options struct {
 	// (0 = 64 MiB).
 	WALSegBytes int64
 	// WALSnapshotEvery writes a state snapshot — truncating the replayed
-	// log — every N journaled mutations; 0 disables automatic snapshots
-	// (the log then grows until the process writes one some other way).
+	// log — every N journaled mutations; 0 disables count-triggered
+	// snapshots. Whatever its value, a snapshot is also written whenever
+	// the log since the last one passes 1 GiB, so the journal's disk use
+	// and replay time stay bounded.
 	WALSnapshotEvery int
 	// DedupWindow caps the idempotency window remembering the
 	// Idempotency-Key tokens of recently acknowledged partial pushes, so
@@ -507,45 +509,85 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
+		writeError(w, bodyErrStatus(err), err)
 		return nil, false
 	}
 	return body, true
 }
 
-// decodeBatch parses the shared /v1/add and /v1/sub body formats: raw
-// little-endian float64s (application/octet-stream) or a single JSON
-// {"values":[...],"key":...} document, and resolves the target key from
-// the ?key= query parameter and/or the JSON field. It writes the error
-// response itself and reports ok = false on malformed payloads.
-func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []float64, key string, ok bool) {
-	queryKey := r.URL.Query().Get("key")
-	// Content-Type may carry parameters (RFC 9110); route on the media
-	// type alone.
-	mediaType := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(mediaType); err == nil {
-		mediaType = mt
+// bodyErrStatus maps a body read failure to its status: 413 when the
+// size cap was hit, 400 for anything else (a truncated or malformed
+// body).
+func bodyErrStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
 	}
-	if mediaType == "application/octet-stream" {
-		if len(body)%8 != 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("binary batch length %d is not a multiple of 8", len(body)))
-			return nil, "", false
-		}
-		if !checkKeyParam(w, queryKey) {
-			return nil, "", false
-		}
-		xs = make([]float64, len(body)/8)
-		for i := range xs {
-			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
-		return xs, queryKey, true
+	return http.StatusBadRequest
+}
+
+// mediaType returns the request's Content-Type without parameters
+// (RFC 9110 allows e.g. "; charset=..."), for routing on the media type
+// alone.
+func mediaType(r *http.Request) string {
+	ct := r.Header.Get("Content-Type")
+	if mt, _, err := mime.ParseMediaType(ct); err == nil {
+		return mt
 	}
+	return ct
+}
+
+// maxPooledValues caps the value buffers the raw ingest path recycles
+// (1 MiB of float64s). A larger body gets a buffer of its own that the
+// GC reclaims, so one huge request cannot pin its size in the pool.
+const maxPooledValues = 1 << 17
+
+// valuePool recycles the raw ingest path's value buffers across
+// requests; it holds *[]float64 so a Put does not allocate.
+var valuePool = sync.Pool{New: func() any { return new([]float64) }}
+
+// readValues reads a raw octet-stream batch straight into a pooled
+// value buffer: the little-endian body bytes land in the buffer's own
+// memory (see internal/f64le), exactly Content-Length/8 values when the
+// length is declared, a doubling buffer for a chunked body. A declared
+// length over the body cap is refused with 413 before anything is
+// read; a length that is not a multiple of 8, or a body that ends
+// before its declared length, is a 400. On success the caller owns the
+// buffer and returns it with recycleValues once nothing can read it any
+// more.
+func (s *Server) readValues(w http.ResponseWriter, r *http.Request) (*[]float64, bool) {
+	if r.ContentLength > s.maxBody {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("body of %d bytes exceeds the %d-byte cap", r.ContentLength, s.maxBody))
+		return nil, false
+	}
+	buf := valuePool.Get().(*[]float64)
+	xs, err := f64le.Read(r.Body, r.ContentLength, *buf)
+	*buf = xs
+	if err != nil {
+		recycleValues(buf)
+		writeError(w, bodyErrStatus(err), err)
+		return nil, false
+	}
+	return buf, true
+}
+
+// recycleValues returns a value buffer to the pool unless it outgrew
+// maxPooledValues.
+func recycleValues(buf *[]float64) {
+	if cap(*buf) > maxPooledValues {
+		return
+	}
+	*buf = (*buf)[:0]
+	valuePool.Put(buf)
+}
+
+// decodeJSONBatch parses the JSON form of the /v1/add and /v1/sub body —
+// a single {"values":[...],"key":...} document — and resolves the
+// target key from the ?key= query parameter and/or the JSON field. It
+// writes the error response itself and reports ok = false on malformed
+// payloads.
+func decodeJSONBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []float64, key string, ok bool) {
 	var req AddRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -560,7 +602,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []floa
 		return nil, "", false
 	}
 	key = req.Key
-	if queryKey != "" {
+	if queryKey := r.URL.Query().Get("key"); queryKey != "" {
 		if key != "" && key != queryKey {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("key %q in query disagrees with key %q in body", queryKey, key))
@@ -659,38 +701,59 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 	}
 }
 
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	xs, key, ok := decodeBatch(w, r, body)
-	if !ok {
-		return
-	}
-	if !s.ingest(w, r, key, xs, false) {
-		return
-	}
-	s.st.addBatch(len(xs), key != "")
-	s.maybeSnapshot()
-	writeJSON(w, http.StatusOK, AddResponse{Added: len(xs), Key: key})
-}
+func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) { s.handleBatch(w, r, false) }
 
-func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
+func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) { s.handleBatch(w, r, true) }
+
+// handleBatch serves /v1/add and /v1/sub in both body formats: raw
+// little-endian float64s (application/octet-stream, key in ?key=) read
+// into a pooled buffer, or a JSON document.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, sub bool) {
+	var xs []float64
+	var key string
+	if mediaType(r) == "application/octet-stream" {
+		key = r.URL.Query().Get("key")
+		if !checkKeyParam(w, key) {
+			return
+		}
+		buf, ok := s.readValues(w, r)
+		if !ok {
+			return
+		}
+		// Recycle only once ingest has returned, and never when the
+		// request's context is done: an async batch whose caller stopped
+		// waiting is still queued and will be flushed from this memory.
+		// (A context that ends after a completed flush only costs one
+		// recycle.)
+		defer func() {
+			if r.Context().Err() == nil {
+				recycleValues(buf)
+			}
+		}()
+		xs = *buf
+	} else {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		if xs, key, ok = decodeJSONBatch(w, r, body); !ok {
+			return
+		}
+	}
+	if !s.ingest(w, r, key, xs, sub) {
 		return
 	}
-	xs, key, ok := decodeBatch(w, r, body)
-	if !ok {
-		return
+	if sub {
+		s.st.subBatch(len(xs), key != "")
+	} else {
+		s.st.addBatch(len(xs), key != "")
 	}
-	if !s.ingest(w, r, key, xs, true) {
-		return
-	}
-	s.st.subBatch(len(xs), key != "")
 	s.maybeSnapshot()
-	writeJSON(w, http.StatusOK, SubResponse{Removed: len(xs), Key: key})
+	if sub {
+		writeJSON(w, http.StatusOK, SubResponse{Removed: len(xs), Key: key})
+	} else {
+		writeJSON(w, http.StatusOK, AddResponse{Added: len(xs), Key: key})
+	}
 }
 
 func (s *Server) handlePushPartial(w http.ResponseWriter, r *http.Request) {

@@ -193,17 +193,32 @@ func (s *Server) noteMutations(n int64) {
 	}
 }
 
-// maybeSnapshot writes a WAL snapshot when enough mutations accumulated
-// since the last one. It takes applyMu exclusively, so the captured
-// state is a clean cut; call it only from request goroutines that hold
-// no locks (never from inside a flush, which runs under applyMu shared).
+// maxLiveLogBytes bounds the journal that recovery replays on top of the
+// newest snapshot: once the log since the last snapshot passes it, the
+// next mutation writes a snapshot whatever WALSnapshotEvery says.
+// Recovery holds every replayed record in memory and the segments hold
+// disk, so a log left to grow under sustained ingest would in time fill
+// the disk and make a restart run out of memory. A variable so tests can
+// lower it.
+var maxLiveLogBytes int64 = 1 << 30
+
+// snapshotDue reports whether WALSnapshotEvery mutations or
+// maxLiveLogBytes of journal accumulated since the last snapshot.
+func (s *Server) snapshotDue() bool {
+	return (s.snapEvery > 0 && s.walSince.Load() >= s.snapEvery) || s.wal.LiveBytes() >= maxLiveLogBytes
+}
+
+// maybeSnapshot writes a WAL snapshot when one is due. It takes applyMu
+// exclusively, so the captured state is a clean cut; call it only from
+// request goroutines that hold no locks (never from inside a flush,
+// which runs under applyMu shared).
 func (s *Server) maybeSnapshot() {
-	if s.wal == nil || s.snapEvery <= 0 || s.walSince.Load() < s.snapEvery {
+	if s.wal == nil || !s.snapshotDue() {
 		return
 	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	if s.walSince.Load() < s.snapEvery { // lost the race to another snapshotter
+	if !s.snapshotDue() { // lost the race to another snapshotter
 		return
 	}
 	snap, err := s.captureState()

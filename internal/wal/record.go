@@ -29,7 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+
+	"parsum/internal/f64le"
 )
 
 // Type tags one journaled record.
@@ -113,15 +114,8 @@ const (
 
 var errBadFrame = errors.New("wal: bad frame")
 
-// appendUvarint / float encoding helpers keep the append hot path free
-// of per-record allocations: callers reuse one scratch buffer.
-
-func appendFloats(b []byte, xs []float64) []byte {
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
-}
+// The encoders append to the log's pending buffer, keeping the append
+// hot path free of per-record allocations and intermediate copies.
 
 func encodeBatch(b []byte, t Type, key string, xs []float64) []byte {
 	b = append(b, byte(t))
@@ -130,7 +124,7 @@ func encodeBatch(b []byte, t Type, key string, xs []float64) []byte {
 		b = append(b, key...)
 	}
 	b = binary.AppendUvarint(b, uint64(len(xs)))
-	return appendFloats(b, xs)
+	return f64le.Append(b, xs)
 }
 
 func encodeBlob(b []byte, t Type, token string, blob []byte) []byte {
@@ -208,11 +202,7 @@ func decodeFloats(p []byte) (xs []float64, rest []byte, err error) {
 	if n > uint64(len(p))/8 {
 		return nil, nil, errBadFrame
 	}
-	xs = make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return xs, p[8*n:], nil
+	return f64le.Decode(p[:8*n]), p[8*n:], nil
 }
 
 // putFrameHeader writes the 8-byte frame header (length + CRC32C) for

@@ -55,6 +55,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -171,9 +172,9 @@ type Log struct {
 	size     int64
 	pend     []byte // encoded frames awaiting Commit
 	pendN    int64
-	scratch  []byte // payload encode buffer
-	dirty    bool   // written since last fsync
-	degraded bool   // last durability operation failed; see Degraded
+	live     atomic.Int64 // bytes recovery would replay; see LiveBytes
+	dirty    bool         // written since last fsync
+	degraded bool         // last durability operation failed; see Degraded
 	closed   bool
 	m        Metrics
 
@@ -251,6 +252,7 @@ func Open(opt Options) (*Log, *Recovered, error) {
 	// the log there and removes everything after it.
 	active := base
 	torn := false
+	var live int64
 	for _, si := range segs {
 		if si < base {
 			continue
@@ -275,6 +277,7 @@ func Open(opt Options) (*Log, *Recovered, error) {
 			return nil
 		})
 		active = si
+		live += valid
 		if valid < int64(len(data)) {
 			rec.Stats.TruncatedBytes += int64(len(data)) - valid
 			rec.Stats.Torn = true
@@ -304,6 +307,7 @@ func Open(opt Options) (*Log, *Recovered, error) {
 	if err := l.openSegment(active); err != nil {
 		return nil, nil, err
 	}
+	l.live.Store(live)
 	l.countSegments()
 	if opt.Fsync == PolicyInterval {
 		l.stop = make(chan struct{})
@@ -386,6 +390,11 @@ func (l *Log) Degraded() (bool, string) {
 	return l.degraded, l.m.LastError
 }
 
+// LiveBytes reports how many journal bytes recovery would replay on top
+// of the newest snapshot: every byte written since it (or since the log
+// began). The serving layer writes a snapshot when this passes a bound.
+func (l *Log) LiveBytes() int64 { return l.live.Load() }
+
 // Metrics returns a copy of the counters.
 func (l *Log) Metrics() Metrics {
 	l.mu.Lock()
@@ -394,27 +403,31 @@ func (l *Log) Metrics() Metrics {
 }
 
 // AppendBatch buffers an unkeyed add (or, with sub, exact-deletion)
-// batch. Buffering cannot fail; durability is decided at Commit.
+// batch. Buffering cannot fail; durability is decided at Commit. The
+// values are copied into the pending frame (one append of their
+// little-endian view), so xs is free for reuse as soon as it returns.
 func (l *Log) AppendBatch(xs []float64, sub bool) {
 	t := RecAdd
 	if sub {
 		t = RecSub
 	}
 	l.mu.Lock()
-	l.scratch = encodeBatch(l.scratch[:0], t, "", xs)
-	l.frameLocked()
+	start := l.beginFrameLocked()
+	l.pend = encodeBatch(l.pend, t, "", xs)
+	l.endFrameLocked(start)
 	l.mu.Unlock()
 }
 
-// AppendKeyed buffers a keyed add/sub batch.
+// AppendKeyed buffers a keyed add/sub batch, copying xs like AppendBatch.
 func (l *Log) AppendKeyed(key string, xs []float64, sub bool) {
 	t := RecKeyedAdd
 	if sub {
 		t = RecKeyedSub
 	}
 	l.mu.Lock()
-	l.scratch = encodeBatch(l.scratch[:0], t, key, xs)
-	l.frameLocked()
+	start := l.beginFrameLocked()
+	l.pend = encodeBatch(l.pend, t, key, xs)
+	l.endFrameLocked(start)
 	l.mu.Unlock()
 }
 
@@ -422,26 +435,34 @@ func (l *Log) AppendKeyed(key string, xs []float64, sub bool) {
 // (RecKeyedEnvelope) with its idempotency token ("" when none).
 func (l *Log) AppendBlob(t Type, token string, blob []byte) {
 	l.mu.Lock()
-	l.scratch = encodeBlob(l.scratch[:0], t, token, blob)
-	l.frameLocked()
+	start := l.beginFrameLocked()
+	l.pend = encodeBlob(l.pend, t, token, blob)
+	l.endFrameLocked(start)
 	l.mu.Unlock()
 }
 
 // AppendReset buffers a reset marker.
 func (l *Log) AppendReset() {
 	l.mu.Lock()
-	l.scratch = append(l.scratch[:0], byte(RecReset))
-	l.frameLocked()
+	start := l.beginFrameLocked()
+	l.pend = append(l.pend, byte(RecReset))
+	l.endFrameLocked(start)
 	l.mu.Unlock()
 }
 
-// frameLocked wraps l.scratch in a frame onto the pending buffer.
-func (l *Log) frameLocked() {
-	payload := l.scratch
-	var hdr [frameHeaderLen]byte
-	putFrameHeader(hdr[:], payload)
-	l.pend = append(l.pend, hdr[:]...)
-	l.pend = append(l.pend, payload...)
+// beginFrameLocked reserves a frame header on the pending buffer and
+// returns its offset; the caller appends the payload straight after it
+// and seals the frame with endFrameLocked.
+func (l *Log) beginFrameLocked() int {
+	start := len(l.pend)
+	l.pend = append(l.pend, make([]byte, frameHeaderLen)...)
+	return start
+}
+
+// endFrameLocked fills in the header reserved at start for the payload
+// appended since.
+func (l *Log) endFrameLocked(start int) {
+	putFrameHeader(l.pend[start:start+frameHeaderLen], l.pend[start+frameHeaderLen:])
 	l.pendN++
 }
 
@@ -470,6 +491,7 @@ func (l *Log) commitLocked() error {
 	}
 	n, err := l.f.Write(l.pend)
 	l.size += int64(n)
+	l.live.Add(int64(n))
 	if err != nil {
 		l.noteErr(err)
 		return fmt.Errorf("wal: appending: %w", err)
@@ -567,6 +589,7 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	}
 	l.syncDir()
 	l.m.Snapshots++
+	l.live.Store(0)
 	// Everything below base is superseded; so are older snapshots.
 	entries, err := os.ReadDir(l.opt.Dir)
 	if err == nil {

@@ -344,7 +344,7 @@ func TestIntervalPolicyFsyncsInBackground(t *testing.T) {
 }
 
 // TestAppendCommitHotPathZeroAlloc is the journal hot-path guard: once
-// the scratch buffers are warm, journaling a batch and committing it
+// the pending buffer is warm, journaling a batch and committing it
 // (fsync off) must not allocate.
 func TestAppendCommitHotPathZeroAlloc(t *testing.T) {
 	dir := t.TempDir()
@@ -353,7 +353,7 @@ func TestAppendCommitHotPathZeroAlloc(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i) * 1.5
 	}
-	// Warm the scratch and pending buffers.
+	// Warm the pending buffer.
 	for i := 0; i < 4; i++ {
 		l.AppendBatch(xs, false)
 		l.AppendKeyed("warm-key", xs[:8], true)
@@ -457,4 +457,39 @@ func TestSnapshotCRCMismatchFallsBack(t *testing.T) {
 	// snapshot to corruption after truncation is detectable, not
 	// silently wrong: recovery reports no snapshot.
 	checkRecovered(t, rec.Records, []Record{{Type: RecAdd, Values: []float64{3}}})
+}
+
+// TestLiveBytesTracksReplayableLog pins LiveBytes: it counts every byte
+// committed since the newest snapshot, drops to zero at a snapshot, and
+// after a restart equals the bytes recovery replayed.
+func TestLiveBytesTracksReplayableLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
+	xs := make([]float64, 100)
+	l.AppendBatch(xs, false)
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.LiveBytes(), l.Metrics().Bytes; got != want || got == 0 {
+		t.Fatalf("LiveBytes = %d, want %d", got, want)
+	}
+	if err := l.WriteSnapshot(&Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.LiveBytes(); got != 0 {
+		t.Fatalf("LiveBytes after snapshot = %d, want 0", got)
+	}
+	l.AppendBatch(xs, true)
+	l.AppendKeyed("k", xs[:3], false)
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := l.LiveBytes()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
+	if rec.Stats.Records != 2 || l2.LiveBytes() != want {
+		t.Fatalf("reopened: %d records, LiveBytes %d; want 2 and %d", rec.Stats.Records, l2.LiveBytes(), want)
+	}
 }
