@@ -134,65 +134,92 @@ func appendComponents(buf []byte, idx []int32, dig []int64) []byte {
 	return buf
 }
 
+// parseComponents validates a component list for digit width w and
+// returns its indices and digits.
 func parseComponents(data []byte, w uint) (idx []int32, dig []int64, err error) {
+	count, data, err := componentCount(data, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx = make([]int32, 0, count)
+	dig = make([]int64, 0, count)
+	err = walkComponents(data, w, count, func(i int32, d int64) {
+		idx = append(idx, i)
+		dig = append(dig, d)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return idx, dig, nil
+}
+
+// componentCount reads a component list's count, rejecting one the
+// remaining bytes or the width-w digit range cannot hold, and returns
+// it with the components' bytes.
+func componentCount(data []byte, w uint) (int, []byte, error) {
 	count, n := binary.Uvarint(data)
 	if n == 0 {
-		return nil, nil, ErrCodecTruncated
+		return 0, nil, ErrCodecTruncated
 	}
 	if n < 0 {
-		return nil, nil, fmt.Errorf("%w: component count varint overflows uint64", ErrCodecInvalid)
+		return 0, nil, fmt.Errorf("%w: component count varint overflows uint64", ErrCodecInvalid)
 	}
 	data = data[n:]
 	// Every component costs at least two bytes (one per varint), so a count
 	// the remaining buffer cannot possibly hold is a lie about the input
 	// length — reject it before sizing any allocation from it.
 	if count > uint64(len(data))/2 {
-		return nil, nil, fmt.Errorf("%w: %d components claimed but only %d bytes follow", ErrCodecTruncated, count, len(data))
+		return 0, nil, fmt.Errorf("%w: %d components claimed but only %d bytes follow", ErrCodecTruncated, count, len(data))
 	}
 	// Strictly ascending indices confined to the width-W digit range also
 	// bound the component count by that range's span.
 	minIdx, maxIdx := digitBounds(w)
 	if count > uint64(maxIdx-minIdx+1) {
-		return nil, nil, fmt.Errorf("%w: %d components cannot be strictly ascending in digit range [%d,%d]", ErrCodecInvalid, count, minIdx, maxIdx)
+		return 0, nil, fmt.Errorf("%w: %d components cannot be strictly ascending in digit range [%d,%d]", ErrCodecInvalid, count, minIdx, maxIdx)
 	}
+	return int(count), data, nil
+}
+
+// walkComponents validates the count components in data for digit
+// width w, calling visit for each in order as it is validated — so on
+// error visit may already have seen a prefix of the list.
+func walkComponents(data []byte, w uint, count int, visit func(i int32, d int64)) error {
+	minIdx, maxIdx := digitBounds(w)
 	r := int64(1) << w
-	idx = make([]int32, 0, count)
-	dig = make([]int64, 0, count)
 	prev := int64(minIdx) - 1
-	for k := uint64(0); k < count; k++ {
+	for k := 0; k < count; k++ {
 		i, n := binary.Varint(data)
 		if n == 0 {
-			return nil, nil, ErrCodecTruncated
+			return ErrCodecTruncated
 		}
 		if n < 0 {
-			return nil, nil, fmt.Errorf("%w: component index varint overflows int64", ErrCodecInvalid)
+			return fmt.Errorf("%w: component index varint overflows int64", ErrCodecInvalid)
 		}
 		data = data[n:]
 		d, n := binary.Varint(data)
 		if n == 0 {
-			return nil, nil, ErrCodecTruncated
+			return ErrCodecTruncated
 		}
 		if n < 0 {
-			return nil, nil, fmt.Errorf("%w: digit varint overflows int64", ErrCodecInvalid)
+			return fmt.Errorf("%w: digit varint overflows int64", ErrCodecInvalid)
 		}
 		data = data[n:]
 		if i < int64(minIdx) || i > int64(maxIdx) {
-			return nil, nil, fmt.Errorf("%w: component index %d outside digit range [%d,%d] for W=%d", ErrCodecInvalid, i, minIdx, maxIdx, w)
+			return fmt.Errorf("%w: component index %d outside digit range [%d,%d] for W=%d", ErrCodecInvalid, i, minIdx, maxIdx, w)
 		}
 		if i <= prev {
-			return nil, nil, fmt.Errorf("%w: component indices not strictly ascending", ErrCodecInvalid)
+			return fmt.Errorf("%w: component indices not strictly ascending", ErrCodecInvalid)
 		}
 		if d <= -r || d >= r {
-			return nil, nil, fmt.Errorf("%w: digit %d outside (α,β) range for W=%d", ErrCodecInvalid, d, w)
+			return fmt.Errorf("%w: digit %d outside (α,β) range for W=%d", ErrCodecInvalid, d, w)
 		}
 		prev = i
-		idx = append(idx, int32(i))
-		dig = append(dig, d)
+		visit(int32(i), d)
 	}
 	if len(data) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodecInvalid, len(data))
+		return fmt.Errorf("%w: %d trailing bytes", ErrCodecInvalid, len(data))
 	}
-	return idx, dig, nil
+	return nil
 }
 
 // MarshalBinary encodes s. It implements encoding.BinaryMarshaler.
@@ -236,28 +263,34 @@ func (d *Dense) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes into d, replacing its contents. Components
-// outside the double-precision digit range are rejected. It implements
-// encoding.BinaryUnmarshaler.
+// outside the double-precision digit range are rejected, and a rejected
+// payload leaves none of itself in d: d is untouched when the header or
+// component count is bad, and empty when a component is. A d already at the payload's width
+// (a recycled accumulator, say) is refilled in place; otherwise — the
+// zero Dense included — its digit string is allocated here. It
+// implements encoding.BinaryUnmarshaler.
 func (d *Dense) UnmarshalBinary(data []byte) error {
 	w, sp, rest, err := parseHeader(data, 'D')
 	if err != nil {
 		return err
 	}
-	idx, dig, err := parseComponents(rest, w)
+	count, rest, err := componentCount(rest, w)
 	if err != nil {
 		return err
 	}
-	nd := NewDense(w)
-	for k, ix := range idx {
-		i := int(ix) - nd.minIdx
-		if i < 0 || i >= len(nd.dig) {
-			return fmt.Errorf("%w: component index %d outside dense range", ErrCodecInvalid, ix)
-		}
-		nd.dig[i] = dig[k]
+	if d.dig != nil && d.w == w {
+		d.Reset()
+	} else {
+		d.init(w)
 	}
-	nd.sp = sp
-	nd.nAdd = 1
-	*d = *nd
+	// walkComponents confines every index to digitBounds(w), exactly
+	// the dense digit range.
+	if err := walkComponents(rest, w, count, func(i int32, v int64) { d.dig[int(i)-d.minIdx] = v }); err != nil {
+		d.Reset()
+		return err
+	}
+	d.sp = sp
+	d.nAdd = 1
 	return nil
 }
 

@@ -207,6 +207,97 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// sameDenseState reports whether a and b hold identical state: digits,
+// special multiplicities, lazy-add count and pending lane cache.
+func sameDenseState(a, b *Dense) bool {
+	if a.w != b.w || a.minIdx != b.minIdx || a.nAdd != b.nAdd || a.maxAdd != b.maxAdd ||
+		a.sp != b.sp || a.lc != b.lc || len(a.dig) != len(b.dig) {
+		return false
+	}
+	for i := range a.dig {
+		if a.dig[i] != b.dig[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dirtyDense returns a canonical-width accumulator holding digits, every
+// special and pending lane-cache contributions — the state a recycled
+// accumulator may be in when the decoder is handed it.
+func dirtyDense(r *rand.Rand) *Dense {
+	d := NewDense(0)
+	d.AddSlice(randValues(r, 200, false))
+	d.Regularize()
+	d.AddSlice([]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Inf(1)})
+	d.AddSlice(randValues(r, 50, false))
+	if !d.lc.dirty() || d.sp == (special{}) {
+		panic("dirtyDense: lane cache clean or specials absent")
+	}
+	return d
+}
+
+// A Dense already at the payload's width is refilled in place; nothing
+// it held before — digits, specials, pending lanes — may survive into
+// the decoded value. A rejected component list leaves it empty.
+func TestDenseUnmarshalIntoDirty(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		src := NewDense(0)
+		src.AddSlice(randValues(r, 1+r.Intn(60), false))
+		if trial%2 == 1 {
+			src.Add(math.NaN())
+		}
+		data, err := src.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh Dense
+		if err := fresh.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		d := dirtyDense(r)
+		if err := d.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if !sameDenseState(d, &fresh) {
+			t.Fatalf("trial %d: decode into a dirty Dense differs from a fresh decode", trial)
+		}
+	}
+
+	src := NewDense(0)
+	src.AddSlice([]float64{1.5, -3e40, 0x1p-300, 7e200})
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := NewDense(0)
+	for name, bad := range map[string][]byte{
+		"truncated": data[:len(data)-1],
+		"trailing":  append(append([]byte(nil), data...), 0),
+	} {
+		d := dirtyDense(r)
+		if err := d.UnmarshalBinary(bad); err == nil {
+			t.Fatalf("%s payload accepted", name)
+		}
+		if !sameDenseState(d, empty) {
+			t.Fatalf("%s payload left state behind in the Dense", name)
+		}
+	}
+
+	// A bad header leaves the Dense as it was.
+	d := dirtyDense(r)
+	before := d.Clone()
+	bad := append([]byte(nil), data...)
+	bad[2] = 99 // version
+	if err := d.UnmarshalBinary(bad); err == nil {
+		t.Fatal("bad version accepted")
+	}
+	if !sameDenseState(d, before) {
+		t.Fatal("bad header changed the Dense")
+	}
+}
+
 func TestCodecQuickNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		var s Sparse

@@ -45,16 +45,22 @@ type Dense struct {
 // NewDense returns an empty dense superaccumulator with digit width w
 // (0 means DefaultWidth).
 func NewDense(w uint) *Dense {
+	d := new(Dense)
+	d.init(w)
+	return d
+}
+
+// init makes d an empty accumulator of digit width w (0 means
+// DefaultWidth), discarding whatever it held. It sets fields one by one:
+// assigning a whole Dense would copy the 2 KiB lane cache.
+func (d *Dense) init(w uint) {
 	w = widthOrDefault(w)
 	minIdx, maxIdx := digitBounds(w)
-	return &Dense{
-		w:      w,
-		radix:  1 << w,
-		mask:   1<<w - 1,
-		minIdx: minIdx,
-		dig:    make([]int64, maxIdx-minIdx+1),
-		maxAdd: maxLazyAdds(w),
-	}
+	d.w, d.radix, d.mask, d.minIdx = w, 1<<w, 1<<w-1, minIdx
+	d.dig = make([]int64, maxIdx-minIdx+1)
+	d.nAdd, d.maxAdd = 0, maxLazyAdds(w)
+	d.sp = special{}
+	d.lc.reset()
 }
 
 // Width returns the digit width W (the radix is 2^W).

@@ -270,6 +270,15 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
+// CloseIdleConnections closes the wrapped transport's idle connections,
+// when it keeps any — so http.Client.CloseIdleConnections reaches
+// through the injector.
+func (in *Injector) CloseIdleConnections() {
+	if c, ok := in.next.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // synthesized503 fabricates the overloaded-backend response without
 // touching the backend.
 func synthesized503(req *http.Request) *http.Response {

@@ -97,13 +97,24 @@ func (a *denseAcc) UnmarshalBinary(data []byte) error {
 // width could not merge with local accumulators.
 func DecodeDense(payload []byte) (*accum.Dense, error) {
 	d := new(accum.Dense)
-	if err := d.UnmarshalBinary(payload); err != nil {
+	if err := DecodeDenseInto(d, payload); err != nil {
 		return nil, err
 	}
-	if d.Width() != accum.DefaultWidth {
-		return nil, fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineDense, d.Width(), accum.DefaultWidth)
-	}
 	return d, nil
+}
+
+// DecodeDenseInto is DecodeDense into a caller-supplied accumulator —
+// one from a pool, refilled in place when it already has the canonical
+// width. On error d's contents are unspecified (it may hold a partial of
+// another width); the caller must not keep it.
+func DecodeDenseInto(d *accum.Dense, payload []byte) error {
+	if err := d.UnmarshalBinary(payload); err != nil {
+		return err
+	}
+	if d.Width() != accum.DefaultWidth {
+		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineDense, d.Width(), accum.DefaultWidth)
+	}
+	return nil
 }
 
 // MarshalDensePartial encodes d as an engine wire partial tagged

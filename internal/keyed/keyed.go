@@ -19,9 +19,10 @@
 // Mechanically, keys hash (FNV-1a) onto one of N partitions; each
 // partition is a mutex-guarded map[string]accumulator whose values are
 // recycled through a sync.Pool (the fresh/recycle pattern of
-// shard.Sharded), so churn from Reset/DeleteRange does not thrash the
-// allocator. Batched ingestion (AddKeyedBatches) groups a whole flush by
-// partition and takes each partition lock once — the batcher's
+// shard.Sharded), so churn from Reset/DeleteRange and from the entries
+// ImportMerge decodes does not thrash the allocator. Batched ingestion
+// (AddKeyedBatches) groups a whole flush by partition and takes each
+// partition lock once — the batcher's
 // group-commit flush applies with at most N lock acquisitions however
 // many requests it coalesced.
 package keyed
@@ -88,7 +89,7 @@ type partition struct {
 type Store struct {
 	parts []partition
 
-	accPool sync.Pool // recycled empty accumulators (fresh/recycle)
+	accPool sync.Pool // recycled accumulators, emptied on the way out (fresh, reusable)
 }
 
 // New returns an empty Store.
@@ -122,25 +123,39 @@ func checkKey(key string) {
 // part returns the partition owning key (FNV-1a 64; stable across
 // processes, though nothing on the wire depends on it).
 func (s *Store) part(key string) *partition {
+	return &s.parts[partIndex(key, len(s.parts))]
+}
+
+// partIndex is the index of key's partition among n.
+func partIndex[K string | []byte](key K, n int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return &s.parts[h%uint64(len(s.parts))]
+	return int(h % uint64(n))
 }
 
+// fresh returns an empty accumulator, from the pool when it has one.
 func (s *Store) fresh() *accum.Dense {
+	a := s.reusable()
+	a.Reset()
+	return a
+}
+
+// reusable returns an accumulator from the pool with whatever it last
+// held, for a caller that overwrites it whole: decoding a partial into
+// it refills it in place and empties it first.
+func (s *Store) reusable() *accum.Dense {
 	if v := s.accPool.Get(); v != nil {
 		return v.(*accum.Dense)
 	}
 	return accum.NewDense(0)
 }
 
-func (s *Store) recycle(a *accum.Dense) {
-	a.Reset()
-	s.accPool.Put(a)
-}
+// recycle returns a canonical-width accumulator to the pool as it is;
+// fresh and the decoder empty it on its way out.
+func (s *Store) recycle(a *accum.Dense) { s.accPool.Put(a) }
 
 // acc returns key's accumulator inside p, creating it if absent. Caller
 // holds p.mu.

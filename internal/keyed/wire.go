@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parsum/internal/accum"
@@ -65,11 +66,7 @@ func (s *Store) ExportAll() ([]byte, error) { return s.ExportRange("", "") }
 // so every entry is an exact partial of some prefix of that key's
 // history. Equal state exports byte-identical blobs.
 func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
-	type entry struct {
-		key  string
-		blob []byte
-	}
-	var entries []entry
+	var entries []exportEntry
 	for i := range s.parts {
 		p := &s.parts[i]
 		p.mu.Lock()
@@ -82,12 +79,39 @@ func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
 				p.mu.Unlock()
 				return nil, fmt.Errorf("keyed: marshaling key %q: %w", k, err)
 			}
-			entries = append(entries, entry{key: k, blob: blob})
+			entries = append(entries, exportEntry{key: k, blob: blob})
 		}
 		p.mu.Unlock()
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	return encodeEnvelope(entries), nil
+}
 
+// EncodeOne returns the keyed envelope of a single entry: key holding
+// a's exact partial. The bytes are those ExportAll gives for a store
+// whose only key is key with a's value — the proxy builds each write's
+// envelope this way, without a throwaway Store. a is regularized as a
+// side effect. key must be a valid store key (non-empty, at most
+// MaxKeyLen bytes).
+func EncodeOne(key string, a *accum.Dense) ([]byte, error) {
+	checkKey(key)
+	blob, err := a.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("keyed: marshaling key %q: %w", key, err)
+	}
+	return encodeEnvelope([]exportEntry{{key: key, blob: blob}}), nil
+}
+
+// exportEntry is one key's marshaled partial on its way into an
+// envelope.
+type exportEntry struct {
+	key  string
+	blob []byte
+}
+
+// encodeEnvelope frames entries, in the order given, as one keyed
+// envelope.
+func encodeEnvelope(entries []exportEntry) []byte {
 	name := core.EngineDense
 	size := 3 + len(name) + binary.MaxVarintLen64
 	for _, e := range entries {
@@ -103,20 +127,23 @@ func (s *Store) ExportRange(lo, hi string) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(e.blob)))
 		buf = append(buf, e.blob...)
 	}
-	return buf, nil
+	return buf
 }
 
-// wireEntry is one decoded envelope entry: a key and a fresh accumulator
-// holding its partial.
+// wireEntry is one decoded envelope entry: its key (aliasing the
+// envelope's bytes — converted to a string only when the key is new to
+// the store), the index of the partition owning it, and an accumulator
+// from the store's pool holding its partial.
 type wireEntry struct {
-	key string
-	acc *accum.Dense
+	key  []byte
+	part int
+	acc  *accum.Dense
 }
 
 // decodeEnvelope validates a keyed envelope end to end and returns the
 // decoded entries. Nothing is returned on any error, and every length is
 // checked against the remaining bytes before allocation.
-func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
+func (s *Store) decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 	if len(data) < 3 {
 		return nil, ErrWireTruncated
 	}
@@ -133,7 +160,7 @@ func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 	if len(data) < 3+nameLen {
 		return nil, ErrWireTruncated
 	}
-	if name := string(data[3 : 3+nameLen]); name != core.EngineDense {
+	if name := data[3 : 3+nameLen]; string(name) != core.EngineDense {
 		return nil, fmt.Errorf("%w: engine %q, want %q", ErrWireInvalid, name, core.EngineDense)
 	}
 	rest := data[3+nameLen:]
@@ -153,6 +180,9 @@ func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 	if count > uint64(len(rest))/4+1 {
 		return nil, fmt.Errorf("%w: %d entries claimed but only %d bytes follow", ErrWireTruncated, count, len(rest))
 	}
+	// On an error below, the accumulators already taken from the pool
+	// are left to the collector: a malformed envelope is rare, and the
+	// failing one may hold a partial of a foreign width.
 	entries = make([]wireEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		keyLen, n := binary.Uvarint(rest)
@@ -166,7 +196,7 @@ func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 		if uint64(len(rest)) < keyLen {
 			return nil, ErrWireTruncated
 		}
-		key := string(rest[:keyLen])
+		key := rest[:keyLen]
 		rest = rest[keyLen:]
 		payLen, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -176,12 +206,12 @@ func decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 		if uint64(len(rest)) < payLen {
 			return nil, ErrWireTruncated
 		}
-		acc, err := core.DecodeDense(rest[:payLen])
-		if err != nil {
+		acc := s.reusable()
+		if err := core.DecodeDenseInto(acc, rest[:payLen]); err != nil {
 			return nil, fmt.Errorf("keyed: entry %q: %w", key, err)
 		}
 		rest = rest[payLen:]
-		entries = append(entries, wireEntry{key: key, acc: acc})
+		entries = append(entries, wireEntry{key: key, part: partIndex(key, len(s.parts)), acc: acc})
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireInvalid, len(rest))
@@ -206,7 +236,7 @@ func badVarint(n int, what string) error {
 // any order converges every key to bit-identical sums (the CRDT property
 // — entries for the same key, within or across envelopes, simply add).
 func (s *Store) ImportMerge(data []byte) (int, error) {
-	entries, err := decodeEnvelope(data)
+	entries, err := s.decodeEnvelope(data)
 	if err != nil {
 		return 0, err
 	}
@@ -215,17 +245,24 @@ func (s *Store) ImportMerge(data []byte) (int, error) {
 }
 
 // mergeEntries folds fully validated entries in, one partition-lock
-// acquisition per touched partition.
+// acquisition per touched partition (entries are sorted by partition
+// in place). An entry whose key is new is installed as that key's
+// accumulator; one whose key exists is merged and its accumulator
+// recycled.
 func (s *Store) mergeEntries(entries []wireEntry) {
-	buckets := make(map[*partition][]wireEntry, len(s.parts))
-	for _, e := range entries {
-		p := s.part(e.key)
-		buckets[p] = append(buckets[p], e)
-	}
-	for p, group := range buckets {
+	slices.SortFunc(entries, func(a, b wireEntry) int { return a.part - b.part })
+	for i := 0; i < len(entries); {
+		pi := entries[i].part
+		p := &s.parts[pi]
 		p.mu.Lock()
-		for _, e := range group {
-			s.acc(p, e.key).Merge(e.acc)
+		for ; i < len(entries) && entries[i].part == pi; i++ {
+			e := entries[i]
+			if a, ok := p.m[string(e.key)]; ok {
+				a.Merge(e.acc)
+				s.recycle(e.acc)
+			} else {
+				p.m[string(e.key)] = e.acc
+			}
 		}
 		p.mu.Unlock()
 	}
@@ -272,7 +309,8 @@ func (s *Store) MergeKeyPartials(ps []KeyPartial) error {
 		if err != nil {
 			return fmt.Errorf("keyed: entry %q: %w", kp.Key, err)
 		}
-		entries = append(entries, wireEntry{key: kp.Key, acc: acc})
+		key := []byte(kp.Key)
+		entries = append(entries, wireEntry{key: key, part: partIndex(key, len(s.parts)), acc: acc})
 	}
 	s.mergeEntries(entries)
 	return nil

@@ -26,6 +26,7 @@ import (
 	"parsum"
 	"parsum/internal/chaos"
 	"parsum/internal/proxy"
+	"parsum/internal/sumdclient"
 	"parsum/internal/sumdsrv"
 )
 
@@ -72,6 +73,7 @@ func runGauntlet(t *testing.T, seed uint64, async, partition bool) {
 			PLatency: 0.10,
 			Latency:  2 * time.Millisecond,
 			BurstLen: 2,
+			Next:     sumdclient.NewTransport(name),
 		})
 	}
 	p, hs := newProxy(t, f, func(o *proxy.Options) {

@@ -17,7 +17,9 @@
 // deliveries it takes (the backends' PR-9 token windows dedup). The
 // client may supply its own Idempotency-Key header — a writer that
 // retries a whole proxy request reuses its token and stays
-// exactly-once end to end.
+// exactly-once end to end. Legs travel over sumdclient.NewTransport, a
+// synchronous keep-alive transport; the handler runs one leg itself and
+// spawns a goroutine for each of the others.
 //
 // Acks follow Options.AckMode: "quorum" (default) answers 200 once
 // ⌊R/2⌋+1 replicas acked, "all" demands every replica, "one" is
@@ -38,8 +40,9 @@
 //
 // RepairNow (POST /v1/repair, or the background Options.RepairEvery
 // loop) re-converges replicas after faults: under a brief write cut it
-// flushes pending hints and pulls every backend's full keyed state,
-// then — outside the cut — majority-votes each key's rounded bits
+// flushes pending hints and pulls the full keyed state of every
+// backend it could flush, then — outside the cut — majority-votes each
+// key's rounded bits
 // across its replicas and pushes each dissenter the exact difference
 // (donor − dissenter) as a wire partial. Because ImportMerge ADDS group
 // elements, the diff lands the dissenter exactly on the donor's state,
@@ -56,12 +59,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"mime"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"parsum/internal/accum"
 	"parsum/internal/batch"
 	"parsum/internal/core"
 	"parsum/internal/f64le"
@@ -114,7 +120,8 @@ type Options struct {
 	// MaxBodyBytes caps request bodies; 0 means the package default.
 	MaxBodyBytes int64
 	// Transport, when set, supplies each backend's http.RoundTripper —
-	// the chaos harness's seam. nil means http.DefaultTransport.
+	// the chaos harness's seam. nil means sumdclient.NewTransport, the
+	// synchronous keep-alive transport built for replica legs.
 	Transport func(backend string) http.RoundTripper
 }
 
@@ -142,9 +149,8 @@ type counters struct {
 // backendConn is one backend: its client (breaker installed) and its
 // hinted-handoff queue.
 type backendConn struct {
-	name string
-	c    *sumdclient.Client
-	br   *sumdclient.Breaker
+	c  *sumdclient.Client
+	br *sumdclient.Breaker
 
 	mu      sync.Mutex
 	hints   []hint // FIFO; bounded by Options.HintCap
@@ -194,6 +200,13 @@ func New(opt Options) (*Proxy, error) {
 	if len(opt.Backends) == 0 {
 		return nil, errors.New("proxy: no backends")
 	}
+	for _, b := range opt.Backends {
+		// sumd serves plain HTTP only, and the replica-leg transport
+		// speaks nothing else.
+		if u, err := url.Parse(b); err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("proxy: backend %q is not an http:// URL", b)
+		}
+	}
 	rg, err := ring.New(ring.Options{Nodes: opt.Backends, VNodes: opt.VNodes})
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
@@ -238,16 +251,18 @@ func New(opt Options) (*Proxy, error) {
 		stop:     make(chan struct{}),
 	}
 	for _, name := range p.order {
-		hc := http.DefaultClient
+		var rt http.RoundTripper
 		if opt.Transport != nil {
-			hc = &http.Client{Transport: opt.Transport(name)}
+			rt = opt.Transport(name)
+		} else {
+			rt = sumdclient.NewTransport(name)
 		}
-		c := sumdclient.New(name, hc)
+		c := sumdclient.New(name, &http.Client{Transport: rt})
 		c.Timeout = timeout
 		c.Retry429 = opt.Retry429
 		br := &sumdclient.Breaker{Threshold: opt.BreakerThreshold, Cooldown: opt.BreakerCooldown}
 		c.Breaker = br
-		p.backends[name] = &backendConn{name: name, c: c, br: br}
+		p.backends[name] = &backendConn{c: c, br: br}
 	}
 
 	p.mux.HandleFunc("POST /v1/add", func(w http.ResponseWriter, r *http.Request) { p.handleWrite(w, r, false) })
@@ -275,12 +290,16 @@ func New(opt Options) (*Proxy, error) {
 	return p, nil
 }
 
-// Close stops the background loops. Pending hints are not flushed —
-// they are delivery optimizations; repair reconverges regardless.
+// Close stops the background loops and closes the idle backend
+// connections. Pending hints are not flushed — they are delivery
+// optimizations; repair reconverges regardless.
 func (p *Proxy) Close() {
 	p.closeOnce.Do(func() {
 		close(p.stop)
 		p.wg.Wait()
+		for _, conn := range p.backends {
+			conn.c.CloseIdleConnections()
+		}
 	})
 }
 
@@ -305,16 +324,18 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	}{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeValues reads the request body as raw little-endian float64s
-// (application/octet-stream, decoded by internal/f64le straight into
-// the value slice) or JSON {"values":[...]}. A body over the cap is a
-// 413, a malformed one a 400.
+// decodeValues reads the request body as JSON {"values":[...]} when
+// its media type is application/json (parameters such as charset are
+// ignored), and as raw little-endian float64s otherwise (decoded by
+// internal/f64le straight into the value slice). A body over the cap is
+// a 413, a malformed one a 400.
 func (p *Proxy) decodeValues(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
 	body := http.MaxBytesReader(w, r.Body, p.maxBody)
 	var xs []float64
 	var err error
+	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	switch {
-	case r.Header.Get("Content-Type") == "application/json":
+	case mt == "application/json":
 		xs, err = decodeJSONValues(body)
 	case r.ContentLength > p.maxBody:
 		err = &http.MaxBytesError{Limit: p.maxBody}
@@ -347,17 +368,24 @@ func decodeJSONValues(body io.Reader) ([]float64, error) {
 	return req.Values, nil
 }
 
+// accPool recycles the accumulators write envelopes are built in.
+var accPool = sync.Pool{New: func() any { return accum.NewDense(0) }}
+
 // envelope builds the single-key keyed envelope carrying xs (negated
 // when sub) — the unit every replica leg, retry, and hint replay of
 // this write delivers under one token.
-func (p *Proxy) envelope(key string, xs []float64, sub bool) ([]byte, error) {
-	st := keyed.New(keyed.Options{Partitions: 1})
+func envelope(key string, xs []float64, sub bool) ([]byte, error) {
+	a := accPool.Get().(*accum.Dense)
+	defer func() {
+		a.Reset()
+		accPool.Put(a)
+	}()
 	if sub {
-		st.Sub(key, xs)
+		a.SubSlice(xs)
 	} else {
-		st.Add(key, xs)
+		a.AddSlice(xs)
 	}
-	return st.ExportAll()
+	return keyed.EncodeOne(key, a)
 }
 
 func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
@@ -374,7 +402,7 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
 	if !ok {
 		return
 	}
-	blob, err := p.envelope(key, xs, sub)
+	blob, err := envelope(key, xs, sub)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "building envelope: %v", err)
 		return
@@ -388,27 +416,26 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
 	}
 
 	replicas := p.ring.Replicas(key, p.r)
-	type legResult struct {
-		name string
-		err  error
-	}
-	results := make([]legResult, len(replicas))
+	errs := make([]error, len(replicas)) // by replica index
 
 	p.cut.RLock()
+	// The handler's own goroutine runs the last leg; each of the others
+	// gets a goroutine.
+	last := len(replicas) - 1
 	var wg sync.WaitGroup
-	for i, name := range replicas {
+	for i, name := range replicas[:last] {
 		wg.Add(1)
 		go func(i int, conn *backendConn) {
 			defer wg.Done()
-			_, err := conn.c.PushKeyedIdem(r.Context(), token, blob)
-			results[i] = legResult{name: conn.name, err: err}
+			_, errs[i] = conn.c.PushKeyedIdem(r.Context(), token, blob)
 		}(i, p.backends[name])
 	}
+	_, errs[last] = p.backends[replicas[last]].c.PushKeyedIdem(r.Context(), token, blob)
 	wg.Wait()
 
 	okLegs := 0
-	for _, res := range results {
-		if res.err == nil {
+	for _, err := range errs {
+		if err == nil {
 			okLegs++
 		}
 	}
@@ -419,9 +446,9 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
 		// the write is in the system, so the proxy owns completing the
 		// missing replicas. (Unacked writes stay the caller's to retry —
 		// queuing them would promote a 503 into a silent maybe.)
-		for _, res := range results {
-			if res.err != nil {
-				p.enqueueHint(p.backends[res.name], token, blob)
+		for i, err := range errs {
+			if err != nil {
+				p.enqueueHint(p.backends[replicas[i]], token, blob)
 				hinted++
 			}
 		}
@@ -442,9 +469,9 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
 
 	if !acked {
 		firstErr := ""
-		for _, res := range results {
-			if res.err != nil {
-				firstErr = res.err.Error()
+		for _, err := range errs {
+			if err != nil {
+				firstErr = err.Error()
 				break
 			}
 		}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,7 +49,8 @@ func startFleet(t *testing.T, n int, opt sumdsrv.Options) *fleet {
 		f.names = append(f.names, hs.URL)
 		f.direct[hs.URL] = sumdclient.New(hs.URL, hs.Client())
 		// A quiet injector: no faults until a test partitions or arms it.
-		f.injectors[hs.URL] = chaos.New(chaos.Options{Seed: uint64(i) + 1})
+		// It forwards over the proxy's production transport.
+		f.injectors[hs.URL] = chaos.New(chaos.Options{Seed: uint64(i) + 1, Next: sumdclient.NewTransport(hs.URL)})
 	}
 	return f
 }
@@ -228,6 +232,33 @@ func TestWriteRawBodies(t *testing.T) {
 	}
 }
 
+// TestWriteJSONWithMediaTypeParameters: a JSON body whose Content-Type
+// carries parameters is still JSON. Compared as a whole header, the
+// 24-byte body below was taken as three raw float64s and acked.
+func TestWriteJSONWithMediaTypeParameters(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	_, hs := newProxy(t, f, nil)
+	for _, ct := range []string{"application/json; charset=utf-8", "Application/JSON ; charset=UTF-8"} {
+		body := `{"values":[1.5,2.5]}    `
+		resp, err := http.Post(hs.URL+"/v1/add?key=j", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := drain(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: %d %s", ct, resp.StatusCode, b)
+		}
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(context.Background(), "j")
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%t err=%v", name, ok, err)
+		}
+		if v != 8 {
+			t.Errorf("%s: sum %v, want 8", name, v)
+		}
+	}
+}
+
 func TestReadFailover(t *testing.T) {
 	f := startFleet(t, 3, sumdsrv.Options{})
 	p, hs := newProxy(t, f, nil)
@@ -391,6 +422,77 @@ func TestRepairRestoresWipedReplica(t *testing.T) {
 	}
 }
 
+// tokenRefuser fails every request carrying an Idempotency-Key — write
+// legs and hint replays — while refuse is set, and forwards the rest
+// (state pulls, repair diffs) to next.
+type tokenRefuser struct {
+	refuse atomic.Bool
+	next   http.RoundTripper
+}
+
+func (tr *tokenRefuser) RoundTrip(r *http.Request) (*http.Response, error) {
+	if tr.refuse.Load() && r.Header.Get("Idempotency-Key") != "" {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, errors.New("tokened request refused")
+	}
+	return tr.next.RoundTrip(r)
+}
+
+// A backend whose queued hints cannot be delivered sits a repair round
+// out: a diff would carry the hinted writes, and the hints' later
+// replay would apply them a second time.
+func TestRepairSkipsBackendWithPendingHints(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	down := f.names[2]
+	tr := &tokenRefuser{next: f.injectors[down]}
+	tr.refuse.Store(true)
+	p, hs := newProxy(t, f, func(o *proxy.Options) {
+		o.Transport = func(b string) http.RoundTripper {
+			if b == down {
+				return tr
+			}
+			return f.injectors[b]
+		}
+		o.ReplayEvery = 5 * time.Millisecond
+		o.BreakerThreshold = 1 << 20 // keep the pulls of down flowing
+	})
+
+	xs := []float64{0.1, 0.2, 0.7}
+	want := math.Float64bits(parsum.Sum(xs))
+	resp := postAdd(t, hs.URL, "h", xs, "")
+	if body := drain(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"hinted":1`) {
+		t.Fatalf("add: %d %s (want acked with one hint)", resp.StatusCode, body)
+	}
+
+	stats := p.RepairNow(context.Background())
+	if len(stats.Unreachable) != 1 || stats.Unreachable[0] != down || stats.Diffs != 0 {
+		t.Fatalf("repair with a hint pending on %s: %+v (want it unreachable, no diffs)", down, stats)
+	}
+
+	tr.refuse.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok, err := f.direct[down].SumKey(context.Background(), "h"); err == nil && ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("hint never replayed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(context.Background(), "h")
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%t err=%v", name, ok, err)
+		}
+		if got := math.Float64bits(v); got != want {
+			t.Errorf("%s: bits %016x, want %016x", name, got, want)
+		}
+	}
+}
+
 func TestTopologyEndpoint(t *testing.T) {
 	f := startFleet(t, 3, sumdsrv.Options{})
 	_, hs := newProxy(t, f, nil)
@@ -531,5 +633,58 @@ func TestProxyNewValidation(t *testing.T) {
 	}
 	if _, err := proxy.New(proxy.Options{Backends: []string{"http://x"}, AckMode: "most"}); err == nil {
 		t.Error("unknown ack mode accepted")
+	}
+	// sumd serves plain HTTP only.
+	for _, b := range []string{"https://x", "127.0.0.1:8372", "x", "ftp://x", "http://", "http://%zz"} {
+		if _, err := proxy.New(proxy.Options{Backends: []string{"http://y", b}}); err == nil {
+			t.Errorf("backend %q accepted", b)
+		}
+	}
+}
+
+// TestCloseDropsIdleBackendConnections: the default transport keeps
+// backend connections alive between writes, and Close closes them.
+func TestCloseDropsIdleBackendConnections(t *testing.T) {
+	srv, err := sumdsrv.New(sumdsrv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var opened, closed atomic.Int64
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			opened.Add(1)
+		case http.StateClosed:
+			closed.Add(1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+	p, err := proxy.New(proxy.Options{Backends: []string{hs.URL}, ReplayEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(p)
+	defer front.Close()
+	for i := 0; i < 5; i++ {
+		if resp := postAdd(t, front.URL, "k", []float64{1}, ""); drain(t, resp) == "" || resp.StatusCode != http.StatusOK {
+			t.Fatalf("write %d: %d", i, resp.StatusCode)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("5 sequential writes opened %d backend connections, want 1", n)
+	}
+	if n := closed.Load(); n != 0 {
+		t.Errorf("%d backend connections closed before Close, want 0", n)
+	}
+	p.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for closed.Load() < opened.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d backend connections closed after Close", closed.Load(), opened.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -149,9 +149,11 @@ func viewVote(v replicaView) vote {
 //
 // Phase 1, under the exclusive write cut: flush every queued hint
 // (tokened, so a hint racing its own earlier in-flight delivery
-// dedups), then pull each backend's full keyed state. The cut makes
-// the pulls a consistent snapshot — no write lands between two pulls
-// and shows up on one replica but not another.
+// dedups), then pull each backend's full keyed state. A backend whose
+// hints did not all go through is not pulled and counts as
+// unreachable. The cut makes the pulls a consistent snapshot — no
+// write lands between two pulls and shows up on one replica but not
+// another.
 //
 // Phase 2, outside the cut: per key, majority-vote the replicas'
 // rounded bits; the majority member is the donor, and every dissenter
@@ -164,12 +166,22 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 	stats := RepairStats{Backends: len(p.order)}
 
 	p.cut.Lock()
-	for _, name := range p.order {
-		stats.HintsFlushed += p.replayConn(ctx, p.backends[name])
-	}
 	states := make(map[string]*keyed.Store, len(p.order))
 	for _, name := range p.order {
-		blob, err := p.backends[name].c.PullKeyed(ctx, "", "")
+		conn := p.backends[name]
+		stats.HintsFlushed += p.replayConn(ctx, conn)
+		conn.mu.Lock()
+		pending := len(conn.hints)
+		conn.mu.Unlock()
+		if pending > 0 {
+			// A diff would carry the writes its queued hints still
+			// hold, and the hints' later replay would apply them a
+			// second time: the backend sits this round out.
+			stats.Unreachable = append(stats.Unreachable, name)
+			stats.Errors++
+			continue
+		}
+		blob, err := conn.c.PullKeyed(ctx, "", "")
 		if err != nil {
 			stats.Unreachable = append(stats.Unreachable, name)
 			stats.Errors++

@@ -98,6 +98,10 @@ func New(baseURL string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, Timeout: DefaultTimeout, sleep: sleepCtx, jitter: rand.Int64N}
 }
 
+// CloseIdleConnections closes the idle keep-alive connections of the
+// client's transport, when it keeps any.
+func (c *Client) CloseIdleConnections() { c.hc.CloseIdleConnections() }
+
 // apiError is a non-2xx response from the service.
 type apiError struct {
 	Status        int
