@@ -8,14 +8,14 @@
 // Usage:
 //
 //	sumd -addr :8372 -shards 8
-//	sumd -async -queue 512 -maxbatch 8192 -maxdelay 2ms
+//	sumd -queue 512       # ingest requests admitted but not yet flushed
 //	sumd -partitions 16   # keyed-store stripes for /v1/add?key=…
 //
-// With -async, /v1/add and /v1/sub go through the batched ingestion
-// front-end: a bounded queue drained on a size-or-deadline trigger, 429
-// with Retry-After when the queue is full (sync ingestion remains the
-// default). Every ingest counter is served in Prometheus text format on
-// GET /metrics.
+// /v1/add and /v1/sub go through one group-commit batcher: a bounded
+// queue drained by GOMAXPROCS flushers, each journaling and applying
+// whatever is queued the moment it is free, and 429 with Retry-After
+// when the queue is full. Every ingest counter is served in Prometheus
+// text format on GET /metrics.
 //
 // With -wal DIR, every state-mutating request is journaled to an
 // append-only CRC-framed log in DIR and committed before it is
@@ -74,11 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		shards   = fs.Int("shards", 0, "writer-stripe count (0 = GOMAXPROCS)")
 		parts    = fs.Int("partitions", 0, "keyed-store partition count (0 = GOMAXPROCS)")
 		maxBody  = fs.Int64("maxbody", 0, "request-body cap in bytes (0 = 64 MiB default)")
-		async    = fs.Bool("async", false, "batch /v1/add and /v1/sub through the bounded-queue ingestion front-end")
-		queue    = fs.Int("queue", 0, "async: bounded-queue capacity in requests (0 = 256)")
-		maxBatch = fs.Int("maxbatch", 0, "async: pending-value count that triggers a flush (0 = 4096)")
-		maxDelay = fs.Duration("maxdelay", 0, "async: latency budget before a deadline flush (0 = 2ms)")
-		flushers = fs.Int("flushers", 0, "async: concurrent flusher goroutines (0 = 1)")
+		queue    = fs.Int("queue", 0, "ingest queue capacity in requests; beyond it /v1/add and /v1/sub answer 429 (0 = 256)")
 		walDir   = fs.String("wal", "", "write-ahead-log directory; journal every ingest and recover on startup (empty = no durability)")
 		fsyncPol = fs.String("fsync", "", "wal: fsync policy: always, interval, or off (default always)")
 		segBytes = fs.Int64("segbytes", 0, "wal: segment rotation threshold in bytes (0 = 64 MiB)")
@@ -95,24 +91,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sumd: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
-	if !*async && (*queue != 0 || *maxBatch != 0 || *maxDelay != 0 || *flushers != 0) {
-		fmt.Fprintln(stderr, "sumd: -queue/-maxbatch/-maxdelay/-flushers require -async")
-		return 2
-	}
 	if *walDir == "" && (*fsyncPol != "" || *segBytes != 0 || *snapN != 0) {
 		fmt.Fprintln(stderr, "sumd: -fsync/-segbytes/-snapshot-every require -wal")
 		return 2
 	}
 	srv, err := sumdsrv.New(sumdsrv.Options{
-		Shards: *shards, KeyPartitions: *parts, MaxBodyBytes: *maxBody,
-		Async: *async, QueueLen: *queue, MaxBatch: *maxBatch, MaxDelay: *maxDelay, Flushers: *flushers,
+		Shards: *shards, KeyPartitions: *parts, MaxBodyBytes: *maxBody, QueueLen: *queue,
 		WALDir: *walDir, WALFsync: *fsyncPol, WALSegBytes: *segBytes, WALSnapshotEvery: *snapN,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "sumd:", err)
 		return 2
 	}
-	// Drain the async batcher (and seal the journal) on every exit path
+	// Drain the ingest batcher (and seal the journal) on every exit path
 	// so accepted batches are never dropped.
 	defer srv.Close()
 	if *walDir != "" {
@@ -125,11 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sumd:", err)
 		return 1
 	}
-	mode := "sync"
-	if *async {
-		mode = "async"
-	}
-	fmt.Fprintf(stdout, "sumd: ingest=%s listening on %s\n", mode, ln.Addr())
+	fmt.Fprintf(stdout, "sumd: listening on %s\n", ln.Addr())
 
 	hs := timeouts.Server(srv)
 	errc := make(chan error, 1)

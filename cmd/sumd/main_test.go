@@ -26,20 +26,16 @@ func TestRunUsageErrors(t *testing.T) {
 	if got := run(ctx, []string{"-addr", "256.256.256.256:1"}, &out, &errb); got != 1 {
 		t.Errorf("unbindable addr: exit %d, want 1", got)
 	}
-	// Async tuning knobs are meaningless without -async: misconfiguration
-	// must fail loudly at startup, not be silently ignored.
+	// Ingest runs one self-clocking batcher; there is no mode or flush
+	// timing to pick.
 	for _, args := range [][]string{
-		{"-queue", "8"},
+		{"-async"},
 		{"-maxbatch", "1024"},
 		{"-maxdelay", "1ms"},
 		{"-flushers", "2"},
 	} {
-		errb.Reset()
 		if got := run(ctx, args, &out, &errb); got != 2 {
-			t.Errorf("%v without -async: exit %d, want 2", args, got)
-		}
-		if !strings.Contains(errb.String(), "require -async") {
-			t.Errorf("%v: stderr %q does not explain the -async requirement", args, errb.String())
+			t.Errorf("removed flag %v: exit %d, want 2", args, got)
 		}
 	}
 	// Same for the WAL tuning knobs without -wal.
@@ -169,17 +165,13 @@ func TestRunAsyncModeServesBatchedIngest(t *testing.T) {
 	go func() {
 		var errb strings.Builder
 		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-shards", "2",
-			"-async", "-queue", "64", "-maxbatch", "256", "-maxdelay", "1ms", "-flushers", "2",
+			"-addr", "127.0.0.1:0", "-shards", "2", "-queue", "64",
 		}, &lineWriter{c: outc}, &errb)
 	}()
 
 	var addr string
 	select {
 	case line := <-outc:
-		if !strings.Contains(line, "ingest=async") {
-			t.Errorf("startup line %q does not report async ingest", line)
-		}
 		m := regexp.MustCompile(`listening on (\S+)`).FindStringSubmatch(line)
 		if m == nil {
 			t.Fatalf("no address in %q", line)
@@ -205,7 +197,7 @@ func TestRunAsyncModeServesBatchedIngest(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "sumd_ingest_enqueued_total") {
-		t.Error("/metrics of an async daemon lacks the ingest families")
+		t.Error("/metrics of the daemon lacks the ingest families")
 	}
 
 	cancel()

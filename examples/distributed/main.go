@@ -11,13 +11,13 @@
 //
 // Run with:
 //
-//	go run ./examples/distributed [-workers 8] [-n 2000000] [-async]
+//	go run ./examples/distributed [-workers 8] [-n 2000000]
 //
-// With -async the service runs the batched ingestion front-end and the
-// workers ship raw value batches instead of combined partials: requests
-// coalesce in the service's bounded queue, shed requests are retried on
-// 429 with jittered backoff, and the final sum is STILL bit-identical —
-// group commit makes batching invisible to the result.
+// Every other worker ships raw value batches instead of combined
+// partials: those requests coalesce in the service's bounded ingest
+// queue, shed requests are retried on 429 with jittered backoff, and the
+// final sum is STILL bit-identical — group commit makes batching
+// invisible to the result.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	var (
 		workers = flag.Int("workers", 8, "worker count (each pushes its own partials)")
 		n       = flag.Int("n", 2_000_000, "total input size")
-		async   = flag.Bool("async", false, "ship raw batches through the batched ingestion front-end instead of combined partials")
 	)
 	flag.Parse()
 	if *workers < 1 || *n < 1 {
@@ -59,10 +58,7 @@ func main() {
 
 	// Start the merge service on a loopback socket, exactly as `sumd`
 	// would run it as a standalone daemon.
-	srv, err := sumdsrv.New(sumdsrv.Options{
-		Shards: *workers,
-		Async:  *async, // defaults for queue/batch/delay; see internal/batch
-	})
+	srv, err := sumdsrv.New(sumdsrv.Options{Shards: *workers})
 	if err != nil {
 		fail(err)
 	}
@@ -75,16 +71,12 @@ func main() {
 	defer hs.Close()
 	url := "http://" + ln.Addr().String()
 	fmt.Printf("sumd listening on %s\n", url)
-	if *async {
-		fmt.Printf("%d workers streaming %d values as raw batches through the async ingest queue\n\n", *workers, len(xs))
-	} else {
-		fmt.Printf("%d workers combining %d values, pushing exact partials over HTTP\n\n", *workers, len(xs))
-	}
+	fmt.Printf("%d workers summing %d values: even ones push exact partials, odd ones stream raw batches\n\n", *workers, len(xs))
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	var wireBytes, retried int64
-	var partials int
+	var wireBytes, rawBytes, retried int64
+	var partials, batches int
 	var mu sync.Mutex
 	per := len(xs) / *workers
 	for w := 0; w < *workers; w++ {
@@ -96,7 +88,7 @@ func main() {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			client := sumdclient.New(url, nil)
-			if *async {
+			if w%2 == 1 {
 				// Raw batches into the bounded queue; a shed batch left no
 				// trace, so the client blindly re-sends it with backoff.
 				client.Retry429 = 100
@@ -110,8 +102,8 @@ func main() {
 						fail(err)
 					}
 					mu.Lock()
-					wireBytes += int64(8 * (end - at))
-					partials++
+					rawBytes += int64(8 * (end - at))
+					batches++
 					mu.Unlock()
 				}
 				mu.Lock()
@@ -163,15 +155,10 @@ func main() {
 		fmt.Println("bit-identical: NO (this is a bug)")
 		os.Exit(1)
 	}
-	if *async {
-		fmt.Printf("\n%d batch requests, %d wire bytes, %d retried after 429, %.2fs\n",
-			partials, wireBytes, retried, elapsed.Seconds())
-		fmt.Println("the ingest queue coalesced whatever arrived together; group commit kept every bit")
-	} else {
-		fmt.Printf("\n%d partials, %d wire bytes total (raw input: %d bytes), %.2fs\n",
-			partials, wireBytes, 8*len(xs), elapsed.Seconds())
-		fmt.Println("the shuffle ships superaccumulator partials, not values: wire cost is per-worker, not per-element")
-	}
+	fmt.Printf("\n%d partials, %d wire bytes; %d raw batches, %d wire bytes, %d retried after 429; %.2fs\n",
+		partials, wireBytes, batches, rawBytes, retried, elapsed.Seconds())
+	fmt.Println("partials cost wire bytes per worker, not per element; the ingest queue coalesced the raw")
+	fmt.Println("batches that arrived together, and group commit kept every bit")
 }
 
 func fail(err error) {

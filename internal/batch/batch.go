@@ -1,22 +1,23 @@
-// Package batch implements the asynchronous ingestion front-end for the
-// aggregation service: a latency-budgeted batcher that sits between
-// request handlers and a sharded exact accumulator. Handlers enqueue
-// (values, reply) items into a bounded queue; flusher goroutines drain
-// it, coalescing admitted requests until either MaxBatch values are
-// pending or the MaxDelay deadline set by the oldest pending request
-// expires, then apply the whole group to the sink in one AddBatch /
-// SubBatch call and complete every reply. When the queue is full the
-// enqueue fails fast with ErrQueueFull and the accumulator is untouched,
-// so the caller can answer 429 instead of blocking the accept loop.
+// Package batch implements the ingestion front-end of the aggregation
+// service: a self-clocking group-commit batcher between request handlers
+// and the exact accumulators. Handlers enqueue requests into a bounded
+// queue; GOMAXPROCS flusher goroutines each take everything queued the
+// moment they are free and hand it, as one group, to the Sink callback.
+// No timer and no size trigger decide when to flush: a lone request
+// flushes at once, and under load requests pile up behind busy flushers,
+// so the group grows with the load. The Sink's error is returned to
+// every request of its group. When the queue is full the enqueue fails
+// fast with ErrQueueFull and nothing is applied, so the caller can
+// answer 429 instead of blocking the accept loop.
 //
 // Batching is safe for exactness, not merely for throughput: the sink is
 // a superaccumulator (a commutative group under exact addition), so any
 // coalescing, reordering across flushers, or add/sub regrouping the
 // batcher performs yields a final sum bit-identical to summing the
 // accepted multiset sequentially. Admission is the only observable
-// effect — which is exactly what the reply channel reports: when Add
-// returns nil, the values are already folded into the sink, so any
-// subsequent Sum observes them (group commit).
+// effect — which is exactly what the reply reports: when Add returns
+// nil, the sink has applied the values, so any subsequent Sum observes
+// them (group commit).
 //
 // Every counter lives in one mutex-guarded Metrics struct, updated on
 // the enqueue and flush paths and copied out atomically by Metrics(),
@@ -29,6 +30,8 @@ package batch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -43,124 +46,72 @@ var ErrQueueFull = errors.New("batch: queue full")
 // ErrClosed is returned by Add/Sub after Close.
 var ErrClosed = errors.New("batch: batcher closed")
 
-// Sink is the exact accumulator the batcher flushes into.
-// *parsum.Sharded implements it.
-type Sink interface {
-	AddBatch(xs []float64)
-	SubBatch(xs []float64)
+// Request is one admitted submission as the Sink sees it.
+type Request struct {
+	Key    string // "" for the single global sum
+	Values []float64
+	Sub    bool // exact deletion instead of accumulation
 }
 
-// SliceSink is an optional Sink extension: a sink that can apply a
-// whole flush group as a list of slices in one call spares the batcher
-// the concatenation copy on multi-request flushes. *shard.Sharded and
-// *parsum.Sharded implement it (one striped-lock acquisition for the
-// whole group). The batcher detects it at construction and prefers it
-// automatically.
-type SliceSink interface {
-	AddBatches(batches [][]float64)
-	SubBatches(batches [][]float64)
-}
+// Sink applies one flush group. A nil error means every request of the
+// group took effect; an error means none did, and the batcher returns it
+// to every request's submitter. The group slice and its Values are only
+// valid during the call.
+type Sink func(group []Request) error
 
-// Options configures a Batcher. The zero value is usable: queue of 256
-// requests, 4096-value flush threshold, 2ms latency budget, one flusher.
+// Options configures a Batcher. The zero value is usable.
 type Options struct {
 	// QueueLen bounds the number of admitted-but-unflushed requests;
 	// beyond it Add/Sub fail fast with ErrQueueFull. 0 means 256.
 	QueueLen int
-	// MaxBatch is the pending-value count that triggers an immediate
-	// flush. A single request larger than MaxBatch flushes alone. 0
-	// means 4096.
-	MaxBatch int
-	// MaxDelay is the latency budget: a flush happens no later than
-	// MaxDelay after the oldest pending request was picked up, even if
-	// MaxBatch was never reached. 0 means 2ms.
-	MaxDelay time.Duration
-	// Flushers is the number of concurrent flusher goroutines. More
-	// than one trades the single-flusher ordering guarantee for flush
-	// parallelism — harmless for exactness (the sink is a commutative
-	// group) and useful when one goroutine cannot saturate the sink.
-	// 0 means 1.
-	Flushers int
-	// Clock supplies time; nil means the wall clock. Tests inject a
-	// FakeClock to make deadline flushes deterministic.
-	Clock Clock
-}
-
-func (o Options) withDefaults() Options {
-	if o.QueueLen <= 0 {
-		o.QueueLen = 256
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4096
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
-	if o.Flushers <= 0 {
-		o.Flushers = 1
-	}
-	if o.Clock == nil {
-		o.Clock = RealClock{}
-	}
-	return o
 }
 
 // item is one admitted request. done is a one-slot reply channel (send,
-// never close, so items recycle through the pool). A non-empty key marks
-// a keyed request bound for the KeyedSink; "" is the single-sum path.
+// never close, so items recycle through the pool).
 type item struct {
-	key    string
-	values []float64
-	sub    bool
-	done   chan error
+	Request
+	done chan error
 }
 
 var itemPool = sync.Pool{New: func() any { return &item{done: make(chan error, 1)} }}
 
-type flushCause int
-
-const (
-	flushSize flushCause = iota
-	flushDeadline
-	flushDrain
-)
-
-// Batcher is the bounded-queue, latency-budgeted ingestion front-end.
-// All methods are safe for concurrent use.
+// Batcher is the bounded-queue, self-clocking ingestion front-end. All
+// methods are safe for concurrent use.
 type Batcher struct {
-	sink   Sink
-	slices SliceSink // non-nil when sink also implements SliceSink
-	keyed  KeyedSink // non-nil when sink also implements KeyedSink
-	opt    Options
-	ch     chan *item
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
+	sink     Sink
+	opt      Options
+	flushers int
+	ch       chan *item
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
 
-	// mu guards closed and every counter in m; the enqueue path takes it
-	// once (the queue send happens inside, non-blocking), the flush path
-	// once per flush.
-	mu     sync.Mutex
-	closed bool
-	m      Metrics
+	// mu guards started, closed and every counter in m; the enqueue
+	// path takes it once (the queue send happens inside, non-blocking),
+	// the flush path once per flush.
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	m       Metrics
 }
 
-// New starts a Batcher flushing into sink. Stop it with Close.
+// New returns a Batcher flushing into sink with one flusher per
+// GOMAXPROCS at the time of the call: a flusher spends part of each
+// flush waiting (on the journal, on accumulator locks), so a single one
+// serializes groups a second core could apply. The flushers start with
+// the first admitted request, so a server that never ingests raw
+// batches (a proxy backend, say) starts none. Stop it with Close.
 func New(sink Sink, opt Options) *Batcher {
-	opt = opt.withDefaults()
-	b := &Batcher{
-		sink: sink,
-		opt:  opt,
-		ch:   make(chan *item, opt.QueueLen),
-		stop: make(chan struct{}),
+	if opt.QueueLen <= 0 {
+		opt.QueueLen = 256
 	}
-	b.slices, _ = sink.(SliceSink)
-	b.keyed, _ = sink.(KeyedSink)
-	b.wg.Add(opt.Flushers)
-	for i := 0; i < opt.Flushers; i++ {
-		go b.runFlusher()
+	return &Batcher{
+		sink:     sink,
+		opt:      opt,
+		flushers: runtime.GOMAXPROCS(0),
+		ch:       make(chan *item, opt.QueueLen),
+		stop:     make(chan struct{}),
 	}
-	return b
 }
 
 // Options returns the resolved configuration.
@@ -176,19 +127,50 @@ func (b *Batcher) Metrics() Metrics {
 }
 
 // Add submits xs for exact accumulation. It returns nil only after the
-// flush containing xs has completed, ErrQueueFull when the queue was at
-// capacity (state untouched), or ctx's error if the caller gave up
-// waiting — in that last case the batch was admitted and will still be
-// applied. An empty xs is a no-op.
+// flush containing xs has been applied, the Sink's error when that flush
+// failed (nothing applied), ErrQueueFull when the queue was at capacity
+// (state untouched), or ctx's error if the caller gave up waiting — in
+// that last case the batch was admitted and will still be flushed. An
+// empty xs is a no-op.
 func (b *Batcher) Add(ctx context.Context, xs []float64) error {
 	return b.submit(ctx, "", xs, false)
 }
 
 // Sub submits xs for exact deletion — identical admission and completion
-// semantics to Add. The sink must support SubBatch for the values ever
-// flushed here (the server gates non-invertible engines upstream).
+// semantics to Add.
 func (b *Batcher) Sub(ctx context.Context, xs []float64) error {
 	return b.submit(ctx, "", xs, true)
+}
+
+// AddKeyed submits xs for exact accumulation under key, with Add's
+// admission and completion semantics. An empty xs is NOT a no-op — it
+// registers the key at exact +0, mirroring keyed.Store.Add. Invalid keys
+// (empty, or longer than keyed.MaxKeyLen) are rejected here with an
+// error, not a panic: by the flush there is no caller left to answer to.
+func (b *Batcher) AddKeyed(ctx context.Context, key string, xs []float64) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	return b.submit(ctx, key, xs, false)
+}
+
+// SubKeyed submits xs for exact deletion under key — the group inverse
+// of AddKeyed, with identical admission semantics.
+func (b *Batcher) SubKeyed(ctx context.Context, key string, xs []float64) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	return b.submit(ctx, key, xs, true)
+}
+
+func checkKey(key string) error {
+	if key == "" {
+		return fmt.Errorf("batch: empty key")
+	}
+	if len(key) > keyed.MaxKeyLen {
+		return fmt.Errorf("batch: key length %d exceeds limit %d", len(key), keyed.MaxKeyLen)
+	}
+	return nil
 }
 
 func (b *Batcher) submit(ctx context.Context, key string, xs []float64, sub bool) error {
@@ -198,13 +180,13 @@ func (b *Batcher) submit(ctx context.Context, key string, xs []float64, sub bool
 	}
 	select {
 	case err := <-it.done:
-		it.key, it.values = "", nil
+		it.Request = Request{}
 		itemPool.Put(it)
 		return err
 	case <-ctx.Done():
-		// Admitted but the caller stopped waiting: the flusher will
-		// still apply the batch and send the reply; the item is left to
-		// the GC since its reply was never consumed.
+		// Admitted but the caller stopped waiting: a flusher will still
+		// apply the batch and send the reply; the item is left to the GC
+		// since its reply is never consumed.
 		return ctx.Err()
 	}
 }
@@ -217,13 +199,20 @@ func (b *Batcher) enqueue(key string, xs []float64, sub bool) (*item, error) {
 		return nil, nil
 	}
 	it := itemPool.Get().(*item)
-	it.key, it.values, it.sub = key, xs, sub
+	it.Request = Request{Key: key, Values: xs, Sub: sub}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		it.key, it.values = "", nil
+		it.Request = Request{}
 		itemPool.Put(it)
 		return nil, ErrClosed
+	}
+	if !b.started {
+		b.started = true
+		b.wg.Add(b.flushers)
+		for i := 0; i < b.flushers; i++ {
+			go b.runFlusher()
+		}
 	}
 	select {
 	case b.ch <- it:
@@ -238,7 +227,7 @@ func (b *Batcher) enqueue(key string, xs []float64, sub bool) (*item, error) {
 	default:
 		b.m.Rejected++
 		b.mu.Unlock()
-		it.key, it.values = "", nil
+		it.Request = Request{}
 		itemPool.Put(it)
 		return nil, ErrQueueFull
 	}
@@ -259,188 +248,65 @@ func (b *Batcher) Close() {
 	})
 }
 
+// runFlusher is one flusher: it blocks until a request arrives, takes
+// everything queued behind it, and flushes the lot at once. While it is
+// busy, new requests wait in the queue for the next free flusher, so the
+// group size follows the load with no timer involved.
 func (b *Batcher) runFlusher() {
 	defer b.wg.Done()
-	timer := b.opt.Clock.NewTimer()
-	var pending []*item
-	var sc scratch
+	var items []*item
+	var group []Request
 	for {
+		stopping := false
 		select {
 		case it := <-b.ch:
-			pending = append(pending, it)
+			items = append(items, it)
 		case <-b.stop:
-			pending = drainQueued(b.ch, pending)
-			b.flush(pending, &sc, flushDrain)
-			return
+			stopping = true
 		}
-		// First member admitted: the latency budget starts now.
-		timer.Reset(b.opt.MaxDelay)
-		n := len(pending[0].values)
-		cause := flushSize
-		stopping := false
-	fill:
-		for n < b.opt.MaxBatch {
+		// With several flushers draining concurrently each item still
+		// lands in exactly one group.
+	drain:
+		for {
 			select {
 			case it := <-b.ch:
-				pending = append(pending, it)
-				n += len(it.values)
-			case <-timer.C():
-				cause = flushDeadline
-				break fill
-			case <-b.stop:
-				pending = drainQueued(b.ch, pending)
-				cause = flushDrain
-				stopping = true
-				break fill
+				items = append(items, it)
+			default:
+				break drain
 			}
 		}
-		if cause != flushDeadline {
-			timer.Stop()
-		}
-		b.flush(pending, &sc, cause)
-		pending = pending[:0]
+		group = b.flush(items, group)
+		clear(items)
+		items = items[:0]
 		if stopping {
 			return
 		}
 	}
 }
 
-// drainQueued moves everything already sitting in the queue into pending
-// without blocking. With several flushers draining concurrently each
-// item still lands in exactly one flush.
-func drainQueued(ch <-chan *item, pending []*item) []*item {
-	for {
-		select {
-		case it := <-ch:
-			pending = append(pending, it)
-		default:
-			return pending
-		}
-	}
-}
-
-// scratch is one flusher's reusable flush buffers: slice lists for the
-// SliceSink path, concatenation buffers for the plain Sink fallback,
-// batch lists and an item filter for the keyed path.
-type scratch struct {
-	addS, subS [][]float64
-	add, sub   []float64
-	addK, subK []keyed.Batch
-	plain      []*item
-}
-
-// flush applies one coalesced group to the sink — one AddBatches /
-// SubBatches call when the sink is a SliceSink (no copying), otherwise
-// one concatenated AddBatch and/or SubBatch — records the counters
-// under one lock, and then completes every reply. Replies come last,
-// so by the time a caller's Add returns, both the sink and the metrics
-// already reflect its batch.
-func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
+// flush hands one group to the sink, records the counters under one
+// lock, and then completes every reply with the sink's error. Replies
+// come last, so by the time a caller's Add returns, both the sink and
+// the metrics already reflect its batch. group is the flusher's reusable
+// Request buffer; flush returns it for the next call.
+func (b *Batcher) flush(items []*item, group []Request) []Request {
 	if len(items) == 0 {
-		return
+		return group
 	}
-	nv := 0
-	keyedN := 0
+	nv, keyedN := 0, 0
 	for _, it := range items {
-		nv += len(it.values)
-		if it.key != "" {
+		group = append(group, it.Request)
+		nv += len(it.Values)
+		if it.Key != "" {
 			keyedN++
 		}
 	}
-	start := b.opt.Clock.Now()
-	plain := items
-	if keyedN > 0 {
-		// Keyed requests exist only when the sink is a KeyedSink (AddKeyed
-		// gates on it before enqueueing). Split them out, apply the whole
-		// keyed share in one AddKeyedBatches/SubKeyedBatches pair — at most
-		// one lock hop per touched store partition — and leave the plain
-		// items for the usual paths below.
-		ps, addK, subK := sc.plain[:0], sc.addK[:0], sc.subK[:0]
-		for _, it := range items {
-			switch {
-			case it.key == "":
-				ps = append(ps, it)
-			case it.sub:
-				subK = append(subK, keyed.Batch{Key: it.key, Values: it.values})
-			default:
-				addK = append(addK, keyed.Batch{Key: it.key, Values: it.values})
-			}
-		}
-		if len(addK) > 0 {
-			b.keyed.AddKeyedBatches(addK)
-		}
-		if len(subK) > 0 {
-			b.keyed.SubKeyedBatches(subK)
-		}
-		// Drop the value references before reusing the buffers: the
-		// caller-owned slices must not stay pinned past the flush.
-		for i := range addK {
-			addK[i] = keyed.Batch{}
-		}
-		for i := range subK {
-			subK[i] = keyed.Batch{}
-		}
-		sc.addK, sc.subK = addK, subK
-		plain = ps
-	}
-	switch {
-	case len(plain) == 0:
-		// All-keyed flush: nothing for the single-sum sink.
-	case len(plain) == 1:
-		// Single-request flush: hand the batch straight to the sink.
-		if plain[0].sub {
-			b.sink.SubBatch(plain[0].values)
-		} else {
-			b.sink.AddBatch(plain[0].values)
-		}
-	case b.slices != nil:
-		addS, subS := sc.addS[:0], sc.subS[:0]
-		for _, it := range plain {
-			if it.sub {
-				subS = append(subS, it.values)
-			} else {
-				addS = append(addS, it.values)
-			}
-		}
-		if len(addS) > 0 {
-			b.slices.AddBatches(addS)
-		}
-		if len(subS) > 0 {
-			b.slices.SubBatches(subS)
-		}
-		// Drop the value references before pooling the headers: the
-		// caller-owned slices must not stay pinned past the flush.
-		for i := range addS {
-			addS[i] = nil
-		}
-		for i := range subS {
-			subS[i] = nil
-		}
-		sc.addS, sc.subS = addS, subS
-	default:
-		add, sub := sc.add[:0], sc.sub[:0]
-		for _, it := range plain {
-			if it.sub {
-				sub = append(sub, it.values...)
-			} else {
-				add = append(add, it.values...)
-			}
-		}
-		if len(add) > 0 {
-			b.sink.AddBatch(add)
-		}
-		if len(sub) > 0 {
-			b.sink.SubBatch(sub)
-		}
-		sc.add, sc.sub = add, sub
-	}
-	if keyedN > 0 {
-		for i := range plain {
-			plain[i] = nil
-		}
-		sc.plain = plain[:0]
-	}
-	dur := b.opt.Clock.Now().Sub(start)
+	start := time.Now()
+	err := b.sink(group)
+	dur := time.Since(start)
+	// Drop the value references before reusing the buffer: the
+	// caller-owned slices must not stay pinned past the flush.
+	clear(group)
 
 	b.mu.Lock()
 	b.m.Flushes++
@@ -451,17 +317,10 @@ func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
 	b.m.FlushNs += dur.Nanoseconds()
 	b.m.SizeHist[bucketIdx(SizeBuckets[:], float64(nv))]++
 	b.m.LatencyHist[bucketIdx(LatencyBuckets[:], dur.Seconds())]++
-	switch cause {
-	case flushSize:
-		b.m.SizeFlushes++
-	case flushDeadline:
-		b.m.DeadlineFlushes++
-	case flushDrain:
-		b.m.DrainFlushes++
-	}
 	b.mu.Unlock()
 
 	for _, it := range items {
-		it.done <- nil
+		it.done <- err
 	}
+	return group[:0]
 }

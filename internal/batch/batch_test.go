@@ -1,14 +1,18 @@
-// Unit tests for the batcher: size- and deadline-triggered flushes
-// (driven by a FakeClock, so deadline behaviour is deterministic, not
-// sleep-calibrated), bounded-queue rejection with untouched state,
-// drain-on-Close, the zero-allocation enqueue hot path, and the
-// consistency invariants of the metrics snapshot under concurrency.
+// Unit tests for the batcher: self-clocked coalescing behind a busy
+// flusher, the sink's error reaching every waiter of its group,
+// bounded-queue rejection with untouched state, drain-on-Close, the
+// zero-allocation enqueue hot path, and the consistency invariants of
+// the metrics snapshot under concurrency. Tests that pin a group's
+// composition run one flusher (GOMAXPROCS 1 while the batcher starts)
+// and hold flushes open on a gate instead of sleeping.
 package batch_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,19 +23,20 @@ import (
 	"parsum/internal/shard"
 )
 
-// recSink records every sink call. It implements only Sink (not
-// SliceSink), so multi-request flushes exercise the concatenation path.
+// recSink records every flush group. When gate is non-nil every flush
+// waits until it is closed; entered, when non-nil, is signalled first.
 type recSink struct {
-	mu    sync.Mutex
-	adds  []float64
-	subs  []float64
-	calls [][]float64 // every AddBatch/SubBatch payload, in call order
+	mu     sync.Mutex
+	adds   []float64
+	subs   []float64
+	groups [][]batch.Request // every group, values still caller-owned
+	err    error             // returned by every flush when non-nil
 
-	gate    chan struct{} // when non-nil, every call waits until it is closed
-	entered chan struct{} // when non-nil, every call signals here first
+	gate    chan struct{}
+	entered chan struct{}
 }
 
-func (r *recSink) apply(xs []float64, sub bool) {
+func (r *recSink) flush(group []batch.Request) error {
 	if r.entered != nil {
 		r.entered <- struct{}{}
 	}
@@ -40,22 +45,56 @@ func (r *recSink) apply(xs []float64, sub bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cp := append([]float64(nil), xs...)
-	r.calls = append(r.calls, cp)
-	if sub {
-		r.subs = append(r.subs, cp...)
-	} else {
-		r.adds = append(r.adds, cp...)
+	r.groups = append(r.groups, append([]batch.Request(nil), group...))
+	if r.err != nil {
+		return r.err
 	}
+	for _, q := range group {
+		if q.Sub {
+			r.subs = append(r.subs, q.Values...)
+		} else {
+			r.adds = append(r.adds, q.Values...)
+		}
+	}
+	return nil
 }
-
-func (r *recSink) AddBatch(xs []float64) { r.apply(xs, false) }
-func (r *recSink) SubBatch(xs []float64) { r.apply(xs, true) }
 
 func (r *recSink) snapshot() (adds, subs []float64, calls int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]float64(nil), r.adds...), append([]float64(nil), r.subs...), len(r.calls)
+	return append([]float64(nil), r.adds...), append([]float64(nil), r.subs...), len(r.groups)
+}
+
+// groupSizes lists the request count of every flush group so far.
+func (r *recSink) groupSizes() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var n []int
+	for _, g := range r.groups {
+		n = append(n, len(g))
+	}
+	return n
+}
+
+// newOneFlusher starts a batcher with a single flusher, so the tests
+// below can pin which requests share a group.
+func newOneFlusher(sink batch.Sink, opt batch.Options) *batch.Batcher {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return batch.New(sink, opt)
+}
+
+// shardSink applies every group to s.
+func shardSink(s *shard.Sharded) batch.Sink {
+	return func(group []batch.Request) error {
+		for _, q := range group {
+			if q.Sub {
+				s.SubBatch(q.Values)
+			} else {
+				s.AddBatch(q.Values)
+			}
+		}
+		return nil
+	}
 }
 
 // waitFor polls cond until it holds or the test deadline budget burns.
@@ -78,16 +117,42 @@ func seq(lo, n int) []float64 {
 	return xs
 }
 
-// TestSizeFlushCoalesces proves the size trigger: with the clock frozen
-// (no deadline can ever fire), four concurrent 2-value requests must
-// coalesce into exactly one 8-value flush when MaxBatch is 8 — and
-// every Add returns only after that flush completed (group commit).
-func TestSizeFlushCoalesces(t *testing.T) {
+// parkFirst submits xs and returns once the single flusher is parked on
+// the gate with it; the returned channel yields the Add's result.
+func parkFirst(t *testing.T, b *batch.Batcher, sink *recSink, xs []float64) chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- b.Add(context.Background(), xs) }()
+	<-sink.entered
+	return errc
+}
+
+// TestLoneRequestFlushesAlone: with nothing else queued a request is
+// flushed at once, in a group of its own — no timer holds it back.
+func TestLoneRequestFlushesAlone(t *testing.T) {
 	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 8, MaxDelay: time.Hour, Clock: clk})
+	b := batch.New(sink.flush, batch.Options{})
+	defer b.Close()
+	for i := 0; i < 3; i++ {
+		if err := b.Add(context.Background(), seq(i, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sink.groupSizes(); len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("group sizes %v, want three groups of one", got)
+	}
+}
+
+// TestSizeFlushCoalesces proves the self-clocking: while the flusher is
+// busy with request A, four more requests queue up, and the next flush
+// takes all four as one group — every Add returning only after it
+// (group commit).
+func TestSizeFlushCoalesces(t *testing.T) {
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 8)}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 16})
 	defer b.Close()
 
+	errA := parkFirst(t, b, sink, seq(100, 2))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -98,100 +163,69 @@ func TestSizeFlushCoalesces(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, "four queued requests", func() bool { return b.Metrics().QueueDepth == 5 })
+	close(sink.gate)
 	wg.Wait()
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
 
-	adds, _, calls := sink.snapshot()
-	if calls != 1 || len(adds) != 8 {
-		t.Fatalf("got %d sink calls with %d total values, want 1 call with 8", calls, len(adds))
+	if got := sink.groupSizes(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("group sizes %v, want [1 4]", got)
 	}
 	m := b.Metrics()
-	if m.SizeFlushes != 1 || m.DeadlineFlushes != 0 || m.Flushes != 1 {
-		t.Fatalf("flush causes: %+v, want exactly one size flush", m)
-	}
-	if m.FlushedRequests != 4 || m.FlushedValues != 8 || m.QueueDepth != 0 {
+	if m.Flushes != 2 || m.FlushedRequests != 5 || m.FlushedValues != 10 || m.QueueDepth != 0 {
 		t.Fatalf("flush counters inconsistent: %+v", m)
 	}
 }
 
-// TestDeadlineFlushFakeClock proves the latency budget: a request
-// smaller than MaxBatch sits until the fake clock passes MaxDelay, then
-// flushes with cause=deadline. No sleeping, no flakiness: the test owns
-// time.
-func TestDeadlineFlushFakeClock(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: 2 * time.Millisecond, Clock: clk})
+// TestSinkErrorReachesEveryWaiter: a failed flush answers every request
+// of its group with the sink's error, and the next group is unaffected.
+func TestSinkErrorReachesEveryWaiter(t *testing.T) {
+	boom := errors.New("journal down")
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 8), err: boom}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 8})
 	defer b.Close()
 
-	errc := make(chan error, 1)
-	go func() { errc <- b.Add(context.Background(), seq(0, 3)) }()
-
-	clk.BlockUntilArmed(1)
-	if _, _, calls := sink.snapshot(); calls != 0 {
-		t.Fatal("flush happened before the deadline expired")
+	errA := parkFirst(t, b, sink, []float64{1})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- b.Add(context.Background(), []float64{2}) }()
 	}
-	clk.Advance(2 * time.Millisecond)
-	if err := <-errc; err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	adds, _, calls := sink.snapshot()
-	if calls != 1 || len(adds) != 3 {
-		t.Fatalf("got %d calls with %d values, want 1 with 3", calls, len(adds))
-	}
-	if m := b.Metrics(); m.DeadlineFlushes != 1 || m.SizeFlushes != 0 {
-		t.Fatalf("want exactly one deadline flush, got %+v", m)
-	}
-}
-
-// TestDeadlineFlushesFireInOrder drives two full deadline cycles and
-// asserts the sink saw the groups in submission order: the MaxDelay set
-// by the older group expires first.
-func TestDeadlineFlushesFireInOrder(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: time.Millisecond, Clock: clk})
-	defer b.Close()
-
-	for round, vals := range [][]float64{seq(100, 2), seq(200, 2)} {
-		errc := make(chan error, 1)
-		vals := vals
-		go func() { errc <- b.Add(context.Background(), vals) }()
-		clk.BlockUntilArmed(1)
-		clk.Advance(time.Millisecond)
-		if err := <-errc; err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	waitFor(t, "two queued requests", func() bool { return b.Metrics().QueueDepth == 3 })
+	close(sink.gate)
+	for _, err := range []error{<-errA, <-errs, <-errs} {
+		if !errors.Is(err, boom) {
+			t.Fatalf("waiter got %v, want the sink's error", err)
 		}
 	}
-	_, _, calls := sink.snapshot()
-	if calls != 2 {
-		t.Fatalf("got %d sink calls, want 2", calls)
-	}
 	sink.mu.Lock()
-	first, second := sink.calls[0][0], sink.calls[1][0]
+	sink.err = nil
 	sink.mu.Unlock()
-	if first != 100 || second != 200 {
-		t.Fatalf("deadline flushes out of order: first=%v second=%v", first, second)
+	if err := b.Add(context.Background(), []float64{3}); err != nil {
+		t.Fatalf("add after the failed group: %v", err)
 	}
-	if m := b.Metrics(); m.DeadlineFlushes != 2 {
-		t.Fatalf("want 2 deadline flushes, got %+v", m)
+	if adds, _, _ := sink.snapshot(); len(adds) != 1 || adds[0] != 3 {
+		t.Fatalf("sink applied %v, want only the value after the failure", adds)
+	}
+	if m := b.Metrics(); m.FlushedRequests != 4 || m.QueueDepth != 0 {
+		t.Fatalf("failed requests not counted as flushed: %+v", m)
 	}
 }
 
 // TestRejectLeavesStateUntouched fills the bounded queue behind a
-// blocked sink and asserts the overflowing request fails fast with
+// blocked flush and asserts the overflowing request fails fast with
 // ErrQueueFull, mutates nothing, and is invisible to the sink forever —
 // the exactness half of the 429 contract.
 func TestRejectLeavesStateUntouched(t *testing.T) {
-	gate := make(chan struct{})
-	sink := &recSink{gate: gate, entered: make(chan struct{}, 16)}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 2, MaxBatch: 1, MaxDelay: time.Hour, Clock: clk})
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 2})
 	defer b.Close()
 
 	ctx := context.Background()
 	results := make(chan error, 3)
 	go func() { results <- b.Add(ctx, []float64{1}) }()
-	<-sink.entered // flusher is now blocked inside the sink holding request 1
+	<-sink.entered // the flusher is now blocked inside the sink holding request 1
 
 	go func() { results <- b.Add(ctx, []float64{2}) }()
 	go func() { results <- b.Add(ctx, []float64{3}) }()
@@ -212,7 +246,7 @@ func TestRejectLeavesStateUntouched(t *testing.T) {
 		t.Fatalf("rejection mutated admission state: before %+v after %+v", before, after)
 	}
 
-	close(gate) // release the sink; everything admitted must complete
+	close(sink.gate) // release the sink; everything admitted must complete
 	for i := 0; i < 3; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("admitted Add failed: %v", err)
@@ -230,11 +264,10 @@ func TestRejectLeavesStateUntouched(t *testing.T) {
 }
 
 // TestSubSplitsFromAdds mixes insertions and deletions in one flush
-// group and asserts the batcher routes them to the right sink calls.
+// group and asserts each request reaches the sink with its own kind.
 func TestSubSplitsFromAdds(t *testing.T) {
 	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 6, MaxDelay: time.Hour, Clock: clk})
+	b := batch.New(sink.flush, batch.Options{QueueLen: 16})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -255,62 +288,46 @@ func TestSubSplitsFromAdds(t *testing.T) {
 	}
 }
 
-// sliceSink records AddBatches/SubBatches groups, proving the batcher
-// prefers the zero-copy SliceSink path when the sink offers it.
-type sliceSink struct {
-	recSink
-	groups [][]int // lengths of the slices in each AddBatches call
-}
-
-func (s *sliceSink) AddBatches(batches [][]float64) {
-	var lens []int
-	for _, xs := range batches {
-		lens = append(lens, len(xs))
-		s.recSink.AddBatch(xs)
-	}
-	s.mu.Lock()
-	s.groups = append(s.groups, lens)
-	s.mu.Unlock()
-}
-
-func (s *sliceSink) SubBatches(batches [][]float64) {
-	for _, xs := range batches {
-		s.recSink.SubBatch(xs)
-	}
-}
-
-// TestSliceSinkZeroCopyPath checks a multi-request flush arrives as one
-// AddBatches call carrying the request slices unconcatenated.
+// TestSliceSinkZeroCopyPath checks a multi-request group reaches the
+// sink as the callers' own slices: no concatenation, no copy.
 func TestSliceSinkZeroCopyPath(t *testing.T) {
-	sink := &sliceSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 4, MaxDelay: time.Hour, Clock: clk})
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 4)}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 16})
 	defer b.Close()
 
+	errA := parkFirst(t, b, sink, []float64{0})
+	xs := [][]float64{seq(10, 2), seq(20, 2)}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := range xs {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); _ = b.Add(context.Background(), seq(10*i, 2)) }(i)
+		go func(i int) { defer wg.Done(); _ = b.Add(context.Background(), xs[i]) }(i)
 	}
+	waitFor(t, "two queued requests", func() bool { return b.Metrics().QueueDepth == 3 })
+	close(sink.gate)
 	wg.Wait()
+	<-errA
 	sink.mu.Lock()
-	groups := sink.groups
-	sink.mu.Unlock()
-	if len(groups) != 1 || len(groups[0]) != 2 || groups[0][0] != 2 || groups[0][1] != 2 {
-		t.Fatalf("want one AddBatches group of two 2-value slices, got %v", groups)
+	defer sink.mu.Unlock()
+	if len(sink.groups) != 2 || len(sink.groups[1]) != 2 {
+		t.Fatalf("want a second group of two requests, got %d groups", len(sink.groups))
+	}
+	for _, q := range sink.groups[1] {
+		if &q.Values[0] != &xs[0][0] && &q.Values[0] != &xs[1][0] {
+			t.Fatalf("group request %v is a copy, not a caller's slice", q.Values)
+		}
 	}
 }
 
-// TestCloseDrainsEverythingAdmitted parks many requests behind a frozen
-// clock and a huge MaxBatch, then closes: every admitted request must
-// complete with nil (its values applied) and post-Close submissions must
-// fail with ErrClosed.
+// TestCloseDrainsEverythingAdmitted parks the flusher, queues many
+// requests behind it, then closes: every admitted request must complete
+// with nil (its values applied) and post-Close submissions must fail
+// with ErrClosed.
 func TestCloseDrainsEverythingAdmitted(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 64, MaxBatch: 1 << 20, MaxDelay: time.Hour, Clock: clk})
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 64)}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 64})
 
 	const reqs = 32
+	errA := parkFirst(t, b, sink, seq(-1, 1))
 	var wg sync.WaitGroup
 	errs := make([]error, reqs)
 	for i := 0; i < reqs; i++ {
@@ -320,20 +337,26 @@ func TestCloseDrainsEverythingAdmitted(t *testing.T) {
 			errs[i] = b.Add(context.Background(), seq(i, 1))
 		}(i)
 	}
-	waitFor(t, "all requests admitted", func() bool { return b.Metrics().Enqueued == reqs })
-	b.Close()
+	waitFor(t, "all requests admitted", func() bool { return b.Metrics().Enqueued == reqs+1 })
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	close(sink.gate)
+	<-closed
 	wg.Wait()
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("admitted request %d got %v after Close, want nil", i, err)
 		}
 	}
 	adds, _, _ := sink.snapshot()
-	if len(adds) != reqs {
-		t.Fatalf("sink saw %d values, want %d", len(adds), reqs)
+	if len(adds) != reqs+1 {
+		t.Fatalf("sink saw %d values, want %d", len(adds), reqs+1)
 	}
 	m := b.Metrics()
-	if m.DrainFlushes == 0 || m.QueueDepth != 0 || m.FlushedRequests != reqs {
+	if m.QueueDepth != 0 || m.FlushedRequests != reqs+1 {
 		t.Fatalf("drain metrics inconsistent: %+v", m)
 	}
 	if err := b.Add(context.Background(), []float64{1}); err != batch.ErrClosed {
@@ -347,7 +370,7 @@ func TestCloseDrainsEverythingAdmitted(t *testing.T) {
 // without touching the queue or the sink.
 func TestEmptyBatchIsNoOp(t *testing.T) {
 	sink := &recSink{}
-	b := batch.New(sink, batch.Options{})
+	b := batch.New(sink.flush, batch.Options{})
 	defer b.Close()
 	if err := b.Add(context.Background(), nil); err != nil {
 		t.Fatalf("empty Add: %v", err)
@@ -359,16 +382,22 @@ func TestEmptyBatchIsNoOp(t *testing.T) {
 
 // TestSubmitZeroAlloc asserts the steady-state request path — enqueue,
 // flush hand-off, reply — allocates nothing: items and their reply
-// channels recycle through a pool, and the single-request flush path
-// hands the caller's slice straight to the sink.
+// channels recycle through a pool, and each flusher reuses its group
+// buffer, which carries the caller's slice itself.
 func TestSubmitZeroAlloc(t *testing.T) {
+	var mu sync.Mutex
 	var total float64
-	sink := sinkFunc(func(xs []float64) {
-		for _, v := range xs {
-			total += v
+	sink := func(group []batch.Request) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, q := range group {
+			for _, v := range q.Values {
+				total += v
+			}
 		}
-	})
-	b := batch.New(sink, batch.Options{QueueLen: 8, MaxBatch: 1, MaxDelay: time.Millisecond})
+		return nil
+	}
+	b := batch.New(sink, batch.Options{QueueLen: 8})
 	defer b.Close()
 	ctx := context.Background()
 	xs := []float64{1, 2, 3, 4}
@@ -388,14 +417,7 @@ func TestSubmitZeroAlloc(t *testing.T) {
 	if best > 0 {
 		t.Fatalf("submit path allocates %.2f objects per request, want 0", best)
 	}
-	_ = total
 }
-
-// sinkFunc adapts a function to Sink (adds only; subs are a test bug).
-type sinkFunc func(xs []float64)
-
-func (f sinkFunc) AddBatch(xs []float64) { f(xs) }
-func (f sinkFunc) SubBatch(xs []float64) { panic("unexpected SubBatch") }
 
 // TestMetricsInvariantsUnderLoad hammers the batcher from several
 // goroutines while a reader takes snapshots, asserting on every single
@@ -404,7 +426,7 @@ func (f sinkFunc) SubBatch(xs []float64) { panic("unexpected SubBatch") }
 // snapshot could observe flushes ahead of enqueues.
 func TestMetricsInvariantsUnderLoad(t *testing.T) {
 	s := shard.New(shard.Options{Shards: 2})
-	b := batch.New(s, batch.Options{QueueLen: 8, MaxBatch: 64, MaxDelay: 200 * time.Microsecond, Flushers: 2})
+	b := batch.New(shardSink(s), batch.Options{QueueLen: 8})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -444,9 +466,6 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 		if got := m.Enqueued - m.FlushedRequests; m.QueueDepth != got || m.QueueDepth < 0 {
 			t.Fatalf("QueueDepth %d != Enqueued-FlushedRequests %d", m.QueueDepth, got)
 		}
-		if m.SizeFlushes+m.DeadlineFlushes+m.DrainFlushes != m.Flushes {
-			t.Fatalf("flush causes don't sum: %+v", m)
-		}
 		var hist int64
 		for _, c := range m.SizeHist {
 			hist += c
@@ -467,7 +486,7 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 // nothing applied twice.
 func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 	s := shard.New(shard.Options{Shards: 4})
-	b := batch.New(s, batch.Options{QueueLen: 4, MaxBatch: 32, MaxDelay: 100 * time.Microsecond, Flushers: 2})
+	b := batch.New(shardSink(s), batch.Options{QueueLen: 4})
 
 	const workers, perWorker = 4, 200
 	accepted := make([][]float64, workers)
@@ -527,27 +546,25 @@ func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 // TestContextAbandonStillApplies: a caller that gives up waiting gets
 // ctx.Err(), but its admitted batch is still applied exactly once.
 func TestContextAbandonStillApplies(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: time.Millisecond, Clock: clk})
+	sink := &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 4)}
+	b := newOneFlusher(sink.flush, batch.Options{QueueLen: 4})
 	defer b.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- b.Add(ctx, []float64{42}) }()
-	waitFor(t, "admission", func() bool { return b.Metrics().Enqueued == 1 })
+	<-sink.entered // its flush is in progress, held on the gate
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("abandoned Add: got %v, want context.Canceled", err)
 	}
-	clk.BlockUntilArmed(1)
-	clk.Advance(time.Millisecond)
+	close(sink.gate)
 	waitFor(t, "abandoned batch to flush", func() bool {
-		_, _, calls := sink.snapshot()
-		return calls == 1
+		adds, _, _ := sink.snapshot()
+		return len(adds) == 1
 	})
 	adds, _, _ := sink.snapshot()
-	if len(adds) != 1 || adds[0] != 42 {
+	if adds[0] != 42 {
 		t.Fatalf("abandoned batch not applied exactly once: %v", adds)
 	}
 }

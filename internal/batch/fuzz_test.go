@@ -15,30 +15,26 @@ import (
 
 // FuzzBatcherInterleave drives random enqueue/flush/reject schedules
 // through the batcher and checks the group-commit contract against the
-// math/big oracle: whatever interleaving, batch geometry, flush cause
-// mix, or rejection pattern the schedule produces, the sink's final sum
+// math/big oracle: whatever interleaving, batch geometry, group sizes,
+// or rejection pattern the schedule produces, the sink's final sum
 // must be bit-identical to the exact sum of the *accepted* multiset
 // (adds minus subs). Rejected submissions must leave no trace.
 //
 // The corpus seeds under testdata/fuzz cover the interesting regimes:
-// single-request queues that force rejections, deadline-heavy trickles,
-// and size-heavy bursts.
+// single-request queues that force rejections, one-value trickles, and
+// mixed add/sub bursts. The schedule's first byte sizes the queue, the
+// second picks the shard count, and every later byte is one submission.
 func FuzzBatcherInterleave(f *testing.F) {
-	f.Add([]byte{1, 4, 1, 1, 0x00, 0x41, 0x12, 0x7f, 0x03})
-	f.Add([]byte{8, 64, 4, 2, 0x01, 0x02, 0x43, 0x44, 0x05, 0x46, 0x07, 0x48})
-	f.Add([]byte{2, 1, 2, 1, 0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa})
+	f.Add([]byte{1, 1, 0x00, 0x41, 0x12, 0x7f, 0x03})
+	f.Add([]byte{8, 2, 0x01, 0x02, 0x43, 0x44, 0x05, 0x46, 0x07, 0x48})
+	f.Add([]byte{2, 1, 0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		if len(data) < 3 {
 			t.Skip("schedule too short")
 		}
-		opt := batch.Options{
-			QueueLen: 1 + int(data[0]%8),
-			MaxBatch: 1 + int(data[1]%64),
-			MaxDelay: 200 * time.Microsecond,
-			Flushers: 1 + int(data[2]%2),
-		}
-		shards := 1 + int(data[3]%4)
-		ops := data[4:]
+		opt := batch.Options{QueueLen: 1 + int(data[0]%8)}
+		shards := 1 + int(data[1]%4)
+		ops := data[2:]
 		if len(ops) > 192 {
 			ops = ops[:192]
 		}
@@ -73,7 +69,7 @@ func FuzzBatcherInterleave(f *testing.F) {
 		}
 
 		s := shard.New(shard.Options{Shards: shards})
-		b := batch.New(s, opt)
+		b := batch.New(shardSink(s), opt)
 		acceptedAdds := make([][]float64, workers)
 		acceptedSubs := make([][]float64, workers)
 		var wg sync.WaitGroup
@@ -129,8 +125,8 @@ func FuzzBatcherInterleave(f *testing.F) {
 		want := oracle.Sum(multiset)
 		got := s.Sum()
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("queue=%d maxBatch=%d flushers=%d shards=%d: sum %g (%016x) != oracle %g (%016x) over %d accepted values",
-				opt.QueueLen, opt.MaxBatch, opt.Flushers, shards,
+			t.Fatalf("queue=%d shards=%d: sum %g (%016x) != oracle %g (%016x) over %d accepted values",
+				opt.QueueLen, shards,
 				got, math.Float64bits(got), want, math.Float64bits(want), len(multiset))
 		}
 		m := b.Metrics()

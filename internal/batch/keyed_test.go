@@ -18,45 +18,45 @@ func newKeyedStore(t *testing.T, parts int) *keyed.Store {
 	return keyed.New(keyed.Options{Partitions: parts})
 }
 
-// plainSink is a minimal Sink that records the global multiset.
-type plainSink struct {
-	mu   sync.Mutex
-	adds []float64
-	subs []float64
-}
-
-func (p *plainSink) AddBatch(xs []float64) {
-	p.mu.Lock()
-	p.adds = append(p.adds, xs...)
-	p.mu.Unlock()
-}
-
-func (p *plainSink) SubBatch(xs []float64) {
-	p.mu.Lock()
-	p.subs = append(p.subs, xs...)
-	p.mu.Unlock()
-}
-
-// dualSink combines the global Sink with a keyed store — the shape the
-// server's batcher sink takes.
+// dualSink records the global multiset and applies keyed requests to a
+// keyed store — the routing the server's flush callback performs.
 type dualSink struct {
-	plainSink
+	mu    sync.Mutex
+	adds  []float64
+	subs  []float64
 	store *keyed.Store
 }
 
-func (d *dualSink) AddKeyedBatches(bs []keyed.Batch) { d.store.AddKeyedBatches(bs) }
-func (d *dualSink) SubKeyedBatches(bs []keyed.Batch) { d.store.SubKeyedBatches(bs) }
+func (d *dualSink) flush(group []Request) error {
+	for _, q := range group {
+		switch {
+		case q.Key != "" && q.Sub:
+			d.store.Sub(q.Key, q.Values)
+		case q.Key != "":
+			d.store.Add(q.Key, q.Values)
+		case q.Sub:
+			d.mu.Lock()
+			d.subs = append(d.subs, q.Values...)
+			d.mu.Unlock()
+		default:
+			d.mu.Lock()
+			d.adds = append(d.adds, q.Values...)
+			d.mu.Unlock()
+		}
+	}
+	return nil
+}
 
 func newDualBatcher(t *testing.T, parts int, opt Options) (*Batcher, *dualSink) {
 	t.Helper()
 	sink := &dualSink{store: newKeyedStore(t, parts)}
-	b := New(sink, opt)
+	b := New(sink.flush, opt)
 	t.Cleanup(b.Close)
 	return b, sink
 }
 
 func TestKeyedThroughBatcherBitIdentical(t *testing.T) {
-	b, sink := newDualBatcher(t, 4, Options{MaxBatch: 64, QueueLen: 1024})
+	b, sink := newDualBatcher(t, 4, Options{QueueLen: 1024})
 	want := make(map[string][]float64)
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func TestKeyedThroughBatcherBitIdentical(t *testing.T) {
 // with a dual sink: the keyed values must land per key, the unkeyed
 // values in the global sink, with nothing crossing over.
 func TestKeyedAndUnkeyedShareFlushes(t *testing.T) {
-	b, sink := newDualBatcher(t, 2, Options{MaxBatch: 32})
+	b, sink := newDualBatcher(t, 2, Options{})
 	ctx := context.Background()
 
 	var wantGlobal, wantKeyA, wantKeyB []float64
@@ -143,17 +143,6 @@ func TestKeyedAndUnkeyedShareFlushes(t *testing.T) {
 	negB := oracle.Sum(wantKeyB)
 	if got, _ := sink.store.Sum("b"); math.Float64bits(got) != math.Float64bits(-negB) {
 		t.Errorf("key b = %v, want %v", got, -negB)
-	}
-}
-
-func TestKeyedRequiresKeyedSink(t *testing.T) {
-	b := New(&plainSink{}, Options{})
-	defer b.Close()
-	if err := b.AddKeyed(context.Background(), "k", []float64{1}); err != ErrNoKeyedSink {
-		t.Errorf("AddKeyed on plain sink: err = %v, want ErrNoKeyedSink", err)
-	}
-	if err := b.SubKeyed(context.Background(), "k", []float64{1}); err != ErrNoKeyedSink {
-		t.Errorf("SubKeyed on plain sink: err = %v, want ErrNoKeyedSink", err)
 	}
 }
 

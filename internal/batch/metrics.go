@@ -13,7 +13,6 @@ var LatencyBuckets = [...]float64{100e-6, 500e-6, 1e-3, 5e-3, 25e-3, 100e-3, 1}
 // out under the same mutex, so a snapshot is internally consistent: the
 // invariants below hold in every snapshot, not just quiescent ones.
 //
-//	Flushes == SizeFlushes + DeadlineFlushes + DrainFlushes
 //	FlushedRequests <= Enqueued
 //	FlushedValues   <= EnqueuedValues
 //	QueueDepth      == Enqueued - FlushedRequests  (and >= 0)
@@ -26,12 +25,9 @@ type Metrics struct {
 	Rejected       int64 // requests refused because the queue was full
 	KeyedEnqueued  int64 // subset of Enqueued that carried a key
 
-	Flushes         int64 // sink flushes performed
-	FlushedRequests int64 // requests completed by a flush
+	Flushes         int64 // sink calls (flush groups)
+	FlushedRequests int64 // requests completed by a flush, applied or failed
 	FlushedValues   int64 // float64s handed to the sink
-	SizeFlushes     int64 // flushes triggered by MaxBatch
-	DeadlineFlushes int64 // flushes triggered by MaxDelay
-	DrainFlushes    int64 // flushes triggered by Close
 
 	KeyedFlushedRequests int64 // subset of FlushedRequests that carried a key
 

@@ -21,8 +21,8 @@ import (
 // a writer count and batch size, ingesting through a Sharded accumulator
 // with one shard per writer. The async columns measure the
 // same workload submitted through the internal/batch front-end (bounded
-// queue, size-or-deadline flush, writers retrying on rejection) instead
-// of calling AddBatch directly.
+// queue, self-clocking group flush, writers retrying on rejection)
+// instead of calling AddBatch directly.
 type IngestPoint struct {
 	Writers      int     `json:"writers"`
 	Batch        int     `json:"batch"`
@@ -156,39 +156,28 @@ func ingestOnce(xs []float64, writers, batch int) (time.Duration, float64) {
 
 // asyncPipeline is how many requests each async "writer" keeps in
 // flight. Add is group commit — it returns only after the flush carrying
-// its batch — so a writer submitting one batch at a time would be
-// latency-bound on the flush deadline, which is not what a loaded
-// service sees: concurrent HTTP clients keep many requests pending. Each
-// writer therefore runs asyncPipeline submitter goroutines, the
-// in-process analogue of that concurrency.
+// its batch — so a writer submitting one batch at a time would wait out
+// every flush alone, which is not what a loaded service sees: concurrent
+// HTTP clients keep many requests pending, and those pile up into one
+// group behind a busy flusher. Each writer therefore runs asyncPipeline
+// submitter goroutines, the in-process analogue of that concurrency.
 const asyncPipeline = 16
 
 // ingestAsyncOnce times the same workload as ingestOnce submitted
 // through the batch front-end: writers×asyncPipeline submitters enqueue
-// batch-sized ranges into a bounded-queue Batcher (one flusher per
-// writer so flush work can use the same parallelism the sync path gets)
-// and spin-retry on rejection — the in-process analogue of the HTTP
-// client's 429/backoff loop. The final Sum closes the cell after Close
-// drains the queue.
+// batch-sized ranges into a bounded-queue Batcher (its GOMAXPROCS
+// flushers each apply whatever is queued as one group) and retry on
+// rejection — the in-process analogue of the HTTP client's 429/backoff
+// loop. The final Sum closes the cell after Close drains the queue.
 func ingestAsyncOnce(xs []float64, writers, batchSize int) (time.Duration, float64) {
 	s := shard.New(shard.Options{Shards: writers})
 	submitters := writers * asyncPipeline
-	// Size the flush trigger below the total in-flight value count so
-	// flushes fire on size while the pipeline stays full; the deadline
-	// only catches the final partial group.
-	maxBatch := submitters * batchSize / 2
-	if maxBatch < batchSize {
-		maxBatch = batchSize
-	}
-	if maxBatch > 1<<14 {
-		maxBatch = 1 << 14
-	}
-	b := batch.New(s, batch.Options{
-		QueueLen: 4 * submitters,
-		MaxBatch: maxBatch,
-		MaxDelay: 100 * time.Microsecond,
-		Flushers: writers,
-	})
+	b := batch.New(func(group []batch.Request) error {
+		for _, r := range group {
+			s.AddBatch(r.Values)
+		}
+		return nil
+	}, batch.Options{QueueLen: 4 * submitters})
 	ctx := context.Background()
 	var next atomic.Int64
 	start := time.Now()
@@ -245,7 +234,7 @@ func (s IngestSnapshot) Table() Table {
 	}
 	t.Notes = append(t.Notes,
 		"one shard per writer; every cell's sum verified bit-identical to the sequential sum",
-		"async = same workload through the internal/batch bounded-queue front-end (writers spin-retry on rejection)")
+		"async = same workload through the internal/batch bounded-queue front-end (self-clocking group flush; writers retry on rejection)")
 	return t
 }
 

@@ -314,10 +314,9 @@ func (s *Store) DeleteRange(lo, hi string) int {
 // AddKeyedBatches accumulates a whole group of keyed batches with one
 // lock acquisition per touched partition: the group is bucketed by
 // partition first, then each partition applies its share under one lock.
-// This is the batcher's keyed flush entry point (batch.KeyedSink) — a
-// coalesced flush of hundreds of requests costs at most Partitions()
-// lock hops. Exactness is unaffected: every value still lands in exactly
-// one key's accumulator.
+// A group of hundreds of batches costs at most Partitions() lock hops.
+// Exactness is unaffected: every value still lands in exactly one key's
+// accumulator.
 func (s *Store) AddKeyedBatches(bs []Batch) {
 	s.applyGrouped(bs, false)
 }

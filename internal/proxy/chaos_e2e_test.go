@@ -37,31 +37,23 @@ func TestChaosMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
 		seed      uint64
-		async     bool
 		partition bool // partition one backend mid-run, heal before repair
 	}{
-		{"sync_seed1", 1, false, false},
-		{"sync_seed2_partition", 2, false, true},
-		{"async_seed3", 3, true, false},
-		{"async_seed4_partition", 4, true, true},
+		{"sync_seed1", 1, false},
+		{"sync_seed2_partition", 2, true},
+		{"async_seed3", 3, false},
+		{"async_seed4_partition", 4, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			runGauntlet(t, tc.seed, tc.async, tc.partition)
+			runGauntlet(t, tc.seed, tc.partition)
 		})
 	}
 }
 
-func runGauntlet(t *testing.T, seed uint64, async, partition bool) {
-	opt := sumdsrv.Options{}
-	if async {
-		opt.Async = true
-		opt.QueueLen = 256
-		opt.MaxBatch = 64
-		opt.MaxDelay = time.Millisecond
-	}
-	f := startFleet(t, 3, opt)
+func runGauntlet(t *testing.T, seed uint64, partition bool) {
+	f := startFleet(t, 3, sumdsrv.Options{})
 	// Re-arm each backend's injector with a real fault mix. Distinct
 	// seeds per backend keep their schedules uncorrelated.
 	for i, name := range f.names {

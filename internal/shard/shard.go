@@ -134,9 +134,8 @@ func (s *Sharded) AddBatch(xs []float64) {
 }
 
 // AddBatches accumulates every slice in batches exactly into one shard
-// under a single striped-lock acquisition. It is the batcher's flush
-// entry point (batch.SliceSink): a coalesced flush group applies
-// without concatenating request bodies, for the same accumulation work
+// under a single striped-lock acquisition: a group of request bodies
+// applies without concatenating them, for the same accumulation work
 // the slices would have cost individually minus the per-request
 // locking. Exactness is unaffected — each value still lands in exactly
 // one shard accumulator.

@@ -34,8 +34,8 @@ import (
 
 // Client talks to one sumd service.
 //
-// When the service runs the async ingestion front-end it sheds overload
-// with 429 + Retry-After, guaranteeing the rejected batch left no trace
+// The service's ingest queue sheds overload with 429 + Retry-After,
+// guaranteeing the rejected batch left no trace
 // in the accumulator — which makes a blind re-send of the same batch
 // safe. Set Retry429 to have the client do that automatically with
 // jittered exponential backoff. Configure the retry fields before the
@@ -172,9 +172,9 @@ func (c *Client) doIdem(ctx context.Context, method, path, contentType, token st
 // backoff returns the delay before retry number attempt (0-based):
 // RetryBase<<attempt with full jitter (uniform in [d/2, d]), capped at
 // RetryMax and at the server's Retry-After hint when one was given —
-// the hint is an upper bound on useful waiting, since the ingest queue
-// drains at least once per MaxDelay which the hint over-approximates in
-// whole seconds. A hint of exactly zero means "retry immediately"
+// the hint is an upper bound on useful waiting, since a flusher drains
+// the whole ingest queue each time it frees up, far sooner than sumd's
+// one-second hint. A hint of exactly zero means "retry immediately"
 // (RFC 9110 allows it, and a drained queue serves the re-send at once),
 // so the backoff curve is skipped entirely. Jitter comes from the
 // per-client seam, not the global math/rand source, so seeding

@@ -1,4 +1,4 @@
-// End-to-end tests of the async ingestion front-end over real HTTP:
+// End-to-end tests of the batched ingest path over real HTTP:
 // group-commit exactness under concurrent clients, forced 429s with
 // retrying clients, the backpressure contract (429 leaves no trace),
 // and the Prometheus exposition (lint conformance + cross-scrape
@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ import (
 
 // TestAsyncE2E drives N concurrent clients through the batched ingest
 // path for several shard counts, with a queue tight enough to force
-// 429s and a latency budget short enough to force deadline flushes.
+// 429s.
 // Clients retry shed requests with jittered backoff; whatever subset
 // ends up accepted, the served sum must be bit-identical to parsum.Sum
 // over exactly that multiset — and the client-side retry ledger must
@@ -37,11 +38,7 @@ func TestAsyncE2E(t *testing.T) {
 		for _, retries := range []int{0, 25} {
 			c, hs := startService(t, sumdsrv.Options{
 				Shards:   shards,
-				Async:    true,
 				QueueLen: 2, // tight: concurrent clients WILL collide
-				MaxBatch: 512,
-				MaxDelay: time.Millisecond,
-				Flushers: 2,
 			})
 			c.Retry429 = retries
 			c.RetryBase = 200 * time.Microsecond
@@ -113,7 +110,7 @@ func TestAsyncE2E(t *testing.T) {
 
 			st := fetchStats(t, hs.URL)
 			if st.Async == nil {
-				t.Fatalf("shards=%d: async server served no async stats", shards)
+				t.Fatalf("shards=%d: server served no batcher stats", shards)
 			}
 			// Every 429 the server recorded was either retried by the
 			// client's backoff loop, absorbed by a manual retry, or
@@ -122,7 +119,7 @@ func TestAsyncE2E(t *testing.T) {
 				t.Errorf("shards=%d retries=%d: server rejected %d > client retries %d + manual %d + failures %d",
 					shards, retries, got, c.Retried429(), totalManual, totalRejected)
 			}
-			if retries > 0 && st.Async.DeadlineFlushes == 0 && st.Async.SizeFlushes == 0 {
+			if retries > 0 && st.Async.Flushes == 0 {
 				t.Errorf("shards=%d: no flushes recorded at all: %+v", shards, st.Async)
 			}
 			if st.Async.FlushedRequests != st.Async.Enqueued || st.Async.QueueDepth != 0 {
@@ -187,13 +184,11 @@ func scrape(t *testing.T, base string) []byte {
 }
 
 // TestMetricsLint is the CI metrics-lint gate run in-process: two
-// scrapes of a loaded async server (and one of a sync server) must pass
-// the format linter, and every counter series must be monotone across
-// the scrapes.
+// scrapes of a loaded server (and one of a server at its defaults) must
+// pass the format linter, and every counter series must be monotone
+// across the scrapes.
 func TestMetricsLint(t *testing.T) {
-	c, hs := startService(t, sumdsrv.Options{
-		Shards: 2, Async: true, QueueLen: 4, MaxBatch: 64, MaxDelay: time.Millisecond,
-	})
+	c, hs := startService(t, sumdsrv.Options{Shards: 2, QueueLen: 4})
 	ctx := context.Background()
 	c.Retry429 = 50
 	c.RetryBase = 100 * time.Microsecond
@@ -209,11 +204,11 @@ func TestMetricsLint(t *testing.T) {
 	}
 	for _, name := range []string{
 		"sumd_up", "sumd_values_total", "sumd_ingest_enqueued_total",
-		"sumd_ingest_flush_cause_total", "sumd_ingest_flush_size",
+		"sumd_ingest_flush_size",
 		"sumd_ingest_flush_latency_seconds", "sumd_ingest_queue_depth",
 	} {
 		if first[name] == nil {
-			t.Errorf("async exposition is missing family %s", name)
+			t.Errorf("exposition is missing family %s", name)
 		}
 	}
 	for _, chunk := range splitSlices(xs, 40) {
@@ -232,68 +227,76 @@ func TestMetricsLint(t *testing.T) {
 		t.Fatalf("counters not monotone across scrapes: %v", err)
 	}
 
-	// Sync mode must also serve a conformant (smaller) exposition.
-	_, syncSrv := startService(t, sumdsrv.Options{Shards: 1})
-	fams, err := batch.LintProm(scrape(t, syncSrv.URL))
+	// A server at its defaults must also serve a conformant exposition,
+	// ingest families included.
+	_, idle := startService(t, sumdsrv.Options{Shards: 1})
+	fams, err := batch.LintProm(scrape(t, idle.URL))
 	if err != nil {
-		t.Fatalf("sync exposition failed lint: %v", err)
+		t.Fatalf("default exposition failed lint: %v", err)
 	}
-	if fams["sumd_ingest_enqueued_total"] != nil {
-		t.Error("sync exposition leaked async-only families")
+	if fams["sumd_ingest_enqueued_total"] == nil {
+		t.Error("default exposition lacks the ingest families")
 	}
 }
 
-// gatedSink wraps the real accumulator and parks the first AddBatch on
-// a gate, holding that flush open until the test releases it. While it
-// is parked the flusher cannot drain, so the bounded queue wedges
-// deterministically.
+// gatedSink wraps the server's flush callback and parks every flush on
+// a gate until the test releases it. While the flushers are parked
+// nothing drains, so the bounded queue wedges deterministically.
 type gatedSink struct {
-	real    batch.Sink
-	entered chan struct{} // closed once a flush is parked on the gate
-	gate    chan struct{} // close to release the parked flush
-	once    sync.Once
+	entered chan struct{} // one send per flush parked on the gate
+	gate    chan struct{} // close to release every parked flush
 }
 
-func (g *gatedSink) AddBatch(xs []float64) {
-	g.once.Do(func() {
-		close(g.entered)
+func newGatedSink() *gatedSink {
+	return &gatedSink{entered: make(chan struct{}, 256), gate: make(chan struct{})}
+}
+
+// wrap is the WrapSink seam.
+func (g *gatedSink) wrap(real batch.Sink) batch.Sink {
+	return func(group []batch.Request) error {
+		g.entered <- struct{}{}
 		<-g.gate
-	})
-	g.real.AddBatch(xs)
+		return real(group)
+	}
 }
 
-func (g *gatedSink) SubBatch(xs []float64) { g.real.SubBatch(xs) }
+// awaitParked waits for the next flush to park on the gate.
+func (g *gatedSink) awaitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush reached the gate")
+	}
+}
 
 // TestRejectedRequestLeavesServiceUntouched pins the 429 contract over
-// real HTTP, deterministically: a gated sink holds request A's flush
-// open, request B fills the single queue slot, so request C MUST be
-// shed — with a usable Retry-After, and without leaving any trace in
-// the sum or the accepted ledger.
+// real HTTP, deterministically: a gated sink holds one request's flush
+// open in every flusher (one per GOMAXPROCS), request B fills the single
+// queue slot, so request C MUST be shed — with a usable Retry-After,
+// and without leaving any trace in the sum or the accepted ledger.
 func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
-	gs := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
-	c, hs := startService(t, sumdsrv.Options{
-		Shards: 1, Async: true,
-		QueueLen: 1,
-		MaxBatch: 1, // flush each request alone, immediately
-		MaxDelay: time.Second,
-		WrapSink: func(real batch.Sink) batch.Sink { gs.real = real; return gs },
-	})
+	gs := newGatedSink()
+	c, hs := startService(t, sumdsrv.Options{Shards: 1, QueueLen: 1, WrapSink: gs.wrap})
 	ctx := context.Background()
 
-	// A is picked up by the flusher and parks inside the sink.
-	resA := make(chan error, 1)
-	go func() { resA <- c.AddBatch(ctx, []float64{1}) }()
-	select {
-	case <-gs.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flush of request A never reached the sink")
+	// Each parked request is picked up by an idle flusher and parks
+	// inside the sink, until every flusher holds one.
+	flushers := runtime.GOMAXPROCS(0)
+	var accepted []float64
+	results := make(chan error, flushers+1)
+	for i := 1; i <= flushers; i++ {
+		v := float64(i)
+		accepted = append(accepted, v)
+		go func() { results <- c.AddBatch(ctx, []float64{v}) }()
+		gs.awaitParked(t)
 	}
 
-	// B occupies the single queue slot behind the parked flush.
-	resB := make(chan error, 1)
-	go func() { resB <- c.AddBatch(ctx, []float64{2}) }()
+	// B occupies the single queue slot behind the parked flushes.
+	accepted = append(accepted, 1000)
+	go func() { results <- c.AddBatch(ctx, []float64{1000}) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for fetchStats(t, hs.URL).Async.Enqueued < 2 {
+	for fetchStats(t, hs.URL).Async.Enqueued < int64(flushers)+1 {
 		if time.Now().After(deadline) {
 			t.Fatal("request B was never admitted")
 		}
@@ -314,10 +317,10 @@ func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
 		t.Fatalf("429 without a usable Retry-After (got %q)", ra)
 	}
 
-	close(gs.gate) // release the parked flush; A and B must now commit
-	for i, ch := range []chan error{resA, resB} {
+	close(gs.gate) // release the parked flushes; every admitted request must now commit
+	for i := range accepted {
 		select {
-		case err := <-ch:
+		case err := <-results:
 			if err != nil {
 				t.Fatalf("parked request %d failed: %v", i, err)
 			}
@@ -330,29 +333,26 @@ func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := parsum.Sum([]float64{1, 2}); math.Float64bits(got) != math.Float64bits(want) {
+	if want := parsum.Sum(accepted); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("sum %g includes the rejected batch (want %g)", got, want)
 	}
 	st := fetchStats(t, hs.URL)
 	if st.Rejected != 1 || st.Async.Rejected != 1 {
 		t.Fatalf("rejection ledgers: server=%d batcher=%d, want 1 and 1", st.Rejected, st.Async.Rejected)
 	}
-	if st.Values != 2 || st.Batches != 2 {
+	if n := int64(len(accepted)); st.Values != n || st.Batches != n {
 		t.Fatalf("accepted ledger polluted by the 429: %+v", st)
 	}
 }
 
-// TestResetRacingFlushes races POST /v1/reset against in-flight async
+// TestResetRacingFlushes races POST /v1/reset against in-flight batched
 // adds (every value lands exactly once and a reset wipes whatever had
 // landed, so no interleaving can corrupt state — the race detector
 // checks the locking, the ledger check the accounting), then pins the
 // quiesced semantics: after a drain + reset, the served sum covers
 // exactly the post-reset adds.
 func TestResetRacingFlushes(t *testing.T) {
-	c, hs := startService(t, sumdsrv.Options{
-		Shards: 4, Async: true,
-		QueueLen: 16, MaxBatch: 64, MaxDelay: 200 * time.Microsecond,
-	})
+	c, hs := startService(t, sumdsrv.Options{Shards: 4, QueueLen: 16})
 	ctx := context.Background()
 	c.Retry429 = 100
 	c.RetryBase = 100 * time.Microsecond

@@ -2,8 +2,10 @@ package sumdsrv_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"parsum/internal/sumdsrv"
@@ -67,4 +69,54 @@ func benchValues(n int) []float64 {
 		xs[i] = float64(i%1000) * 1.0000001e-3
 	}
 	return xs
+}
+
+// BenchmarkAddHandlerFsyncAlways serves 64-value octet-stream adds from
+// 8 goroutines per GOMAXPROCS into a server whose journal fsyncs every
+// commit, so each flush group costs one fsync. It reports fsyncs per
+// request: below 1 when concurrent requests share a group commit.
+func BenchmarkAddHandlerFsyncAlways(b *testing.B) {
+	srv, err := sumdsrv.New(sumdsrv.Options{WALDir: b.TempDir(), WALFsync: "always"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	body := leBytes(benchValues(64))
+	fsyncs := func() int64 {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st sumdsrv.StatsResponse
+		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+			b.Fatal(err)
+		}
+		return st.WAL.Fsyncs
+	}
+	before := fsyncs()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		req, err := http.NewRequest(http.MethodPost, "/v1/add", nil)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.ContentLength = int64(len(body))
+		rb := &rewindBody{}
+		w := &discardWriter{h: http.Header{}}
+		for pb.Next() {
+			rb.Reset(body)
+			req.Body = rb
+			w.code = 0
+			srv.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				b.Errorf("status %d", w.code)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/op")
 }

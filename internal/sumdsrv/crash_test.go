@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -88,29 +87,21 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		async bool
 		keyed bool
 	}{
-		{"sync-plain", false, false},
-		{"sync-keyed", false, true},
-		{"async-plain", true, false},
-		{"async-keyed", true, true},
+		{"async-plain", false},
+		{"async-keyed", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opt := sumdsrv.Options{
 				Shards:   2,
+				QueueLen: 16,
 				WALDir:   dir,
 				WALFsync: "off",
 			}
 			if tc.keyed {
 				opt.KeyPartitions = 2
-			}
-			if tc.async {
-				opt.Async = true
-				opt.QueueLen = 16
-				opt.MaxBatch = 64
-				opt.MaxDelay = time.Millisecond
 			}
 			c, _ := startService(t, opt)
 			ctx := context.Background()

@@ -1,8 +1,8 @@
 // End-to-end tests of the keyed aggregation surface over real HTTP:
-// per-key bit-identity to parsum.Sum through both the sync and async
-// ingest paths, the keyed anti-entropy exchange (binary and JSON, both
-// push orders converging), key-range pulls, the rejection gauntlet
-// (400/404/501), and the keyed stats/metrics families.
+// per-key bit-identity to parsum.Sum through the batched ingest path,
+// the keyed anti-entropy exchange (binary and JSON, both push orders
+// converging), key-range pulls, the rejection gauntlet (400/404), and
+// the keyed stats/metrics families.
 package sumdsrv_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -27,121 +26,110 @@ import (
 // TestKeyedE2EBitIdentical is the acceptance property of the keyed
 // store carried across the socket: concurrent clients spraying keyed
 // adds (and keyed deletions) over both body forms, for several
-// partition counts and through both the sync and async ingest paths —
+// partition counts —
 // then every key's served sum must be bit-identical to parsum.Sum over
 // exactly that key's surviving multiset, and the global sum must be
 // untouched by any of it.
 func TestKeyedE2EBitIdentical(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 8000, Delta: 1000, Seed: 41}).Slice()
-	for _, async := range []bool{false, true} {
-		for _, partitions := range []int{1, 4} {
-			opt := sumdsrv.Options{Shards: 2, KeyPartitions: partitions}
-			if async {
-				opt.Async = true
-				opt.QueueLen = 256
-				opt.MaxBatch = 64
-				opt.MaxDelay = time.Millisecond
-			}
-			c, hs := startService(t, opt)
-			ctx := context.Background()
+	for _, partitions := range []int{1, 4} {
+		c, hs := startService(t, sumdsrv.Options{Shards: 2, KeyPartitions: partitions})
+		ctx := context.Background()
 
-			const clients = 6
-			const keys = 9
-			parts := splitSlices(xs, clients)
-			oracles := make([]map[string][]float64, clients)
-			var wg sync.WaitGroup
-			for w, part := range parts {
-				wg.Add(1)
-				oracles[w] = make(map[string][]float64)
-				go func(w int, part []float64, mine map[string][]float64) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(13*w + partitions)))
-					for len(part) > 0 {
-						n := 1 + r.Intn(32)
-						if n > len(part) {
-							n = len(part)
-						}
-						chunk := part[:n]
-						part = part[n:]
-						key := fmt.Sprintf("key-%03d", r.Intn(keys))
-						var err error
-						switch r.Intn(3) {
-						case 0: // binary body, key in the query
-							err = c.AddKeyed(ctx, key, chunk)
-						case 1: // JSON body carrying the key field
-							body, _ := jsonBatch(key, chunk)
-							var resp *http.Response
-							resp, err = hs.Client().Post(hs.URL+"/v1/add", "application/json", bytesReader(body))
-							if err == nil {
-								resp.Body.Close()
-								if resp.StatusCode != 200 {
-									err = fmt.Errorf("JSON keyed add: status %d", resp.StatusCode)
-								}
-							}
-						default: // net insertion via the sub path: -chunk, then +chunk twice
-							err = c.SubKeyed(ctx, key, chunk)
-							if err == nil {
-								err = c.AddKeyed(ctx, key, chunk)
-							}
-							if err == nil {
-								err = c.AddKeyed(ctx, key, chunk)
-							}
-						}
-						if err != nil {
-							t.Errorf("client %d: %v", w, err)
-							return
-						}
-						mine[key] = append(mine[key], chunk...)
+		const clients = 6
+		const keys = 9
+		parts := splitSlices(xs, clients)
+		oracles := make([]map[string][]float64, clients)
+		var wg sync.WaitGroup
+		for w, part := range parts {
+			wg.Add(1)
+			oracles[w] = make(map[string][]float64)
+			go func(w int, part []float64, mine map[string][]float64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(13*w + partitions)))
+				for len(part) > 0 {
+					n := 1 + r.Intn(32)
+					if n > len(part) {
+						n = len(part)
 					}
-				}(w, part, oracles[w])
-			}
-			wg.Wait()
+					chunk := part[:n]
+					part = part[n:]
+					key := fmt.Sprintf("key-%03d", r.Intn(keys))
+					var err error
+					switch r.Intn(3) {
+					case 0: // binary body, key in the query
+						err = c.AddKeyed(ctx, key, chunk)
+					case 1: // JSON body carrying the key field
+						body, _ := jsonBatch(key, chunk)
+						var resp *http.Response
+						resp, err = hs.Client().Post(hs.URL+"/v1/add", "application/json", bytesReader(body))
+						if err == nil {
+							resp.Body.Close()
+							if resp.StatusCode != 200 {
+								err = fmt.Errorf("JSON keyed add: status %d", resp.StatusCode)
+							}
+						}
+					default: // net insertion via the sub path: -chunk, then +chunk twice
+						err = c.SubKeyed(ctx, key, chunk)
+						if err == nil {
+							err = c.AddKeyed(ctx, key, chunk)
+						}
+						if err == nil {
+							err = c.AddKeyed(ctx, key, chunk)
+						}
+					}
+					if err != nil {
+						t.Errorf("client %d: %v", w, err)
+						return
+					}
+					mine[key] = append(mine[key], chunk...)
+				}
+			}(w, part, oracles[w])
+		}
+		wg.Wait()
 
-			want := make(map[string][]float64)
-			for _, mine := range oracles {
-				for key, vs := range mine {
-					want[key] = append(want[key], vs...)
-				}
+		want := make(map[string][]float64)
+		for _, mine := range oracles {
+			for key, vs := range mine {
+				want[key] = append(want[key], vs...)
 			}
-			for key, vs := range want {
-				got, ok, err := c.SumKey(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Fatalf("async=%v partitions=%d: key %q missing", async, partitions, key)
-				}
-				ref := parsum.Sum(vs)
-				if math.Float64bits(got) != math.Float64bits(ref) {
-					t.Errorf("async=%v partitions=%d key=%s: served %x != parsum.Sum %x",
-						async, partitions, key, math.Float64bits(got), math.Float64bits(ref))
-				}
-			}
-			// Keyed traffic must not leak into the global accumulator.
-			if global, err := c.Sum(ctx); err != nil || global != 0 {
-				t.Errorf("async=%v: global sum disturbed by keyed traffic: %g err=%v", async, global, err)
-			}
-			listed, err := c.Keys(ctx, "", "")
+		}
+		for key, vs := range want {
+			got, ok, err := c.SumKey(ctx, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(listed) != len(want) {
-				t.Errorf("async=%v: /v1/keys lists %d keys, oracle has %d", async, len(listed), len(want))
+			if !ok {
+				t.Fatalf("partitions=%d: key %q missing", partitions, key)
 			}
+			ref := parsum.Sum(vs)
+			if math.Float64bits(got) != math.Float64bits(ref) {
+				t.Errorf("partitions=%d key=%s: served %x != parsum.Sum %x",
+					partitions, key, math.Float64bits(got), math.Float64bits(ref))
+			}
+		}
+		// Keyed traffic must not leak into the global accumulator.
+		if global, err := c.Sum(ctx); err != nil || global != 0 {
+			t.Errorf("global sum disturbed by keyed traffic: %g err=%v", global, err)
+		}
+		listed, err := c.Keys(ctx, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(listed) != len(want) {
+			t.Errorf("/v1/keys lists %d keys, oracle has %d", len(listed), len(want))
+		}
 
-			st := fetchStats(t, hs.URL)
-			if st.Keyed.Partitions == 0 || st.Keyed.Keys != len(want) {
-				t.Errorf("keyed stats: %+v, want %d keys", st.Keyed, len(want))
-			}
-			if st.Keyed.Values == 0 || st.Keyed.Batches == 0 || st.Keyed.Removed == 0 {
-				t.Errorf("keyed counters never moved: %+v", st.Keyed)
-			}
-			if async {
-				if st.Async == nil || st.Async.KeyedEnqueued == 0 ||
-					st.Async.KeyedFlushedRequests != st.Async.KeyedEnqueued {
-					t.Errorf("async keyed ledger not drained: %+v", st.Async)
-				}
-			}
+		st := fetchStats(t, hs.URL)
+		if st.Keyed.Partitions == 0 || st.Keyed.Keys != len(want) {
+			t.Errorf("keyed stats: %+v, want %d keys", st.Keyed, len(want))
+		}
+		if st.Keyed.Values == 0 || st.Keyed.Batches == 0 || st.Keyed.Removed == 0 {
+			t.Errorf("keyed counters never moved: %+v", st.Keyed)
+		}
+		if st.Async == nil || st.Async.KeyedEnqueued == 0 ||
+			st.Async.KeyedFlushedRequests != st.Async.KeyedEnqueued {
+			t.Errorf("keyed batcher ledger not drained: %+v", st.Async)
 		}
 	}
 }
@@ -383,34 +371,6 @@ func TestKeyedE2ERejections(t *testing.T) {
 	}
 	if keys, err := c.Keys(ctx, "", ""); err != nil || len(keys) != 0 {
 		t.Errorf("reset left keyed state: %v err=%v", keys, err)
-	}
-}
-
-// plainOnlySink forwards the global Sink surface and deliberately hides
-// KeyedSink — the WrapSink shape that must degrade async keyed
-// ingestion to 501 without breaking unkeyed traffic.
-type plainOnlySink struct{ real batch.Sink }
-
-func (p plainOnlySink) AddBatch(xs []float64) { p.real.AddBatch(xs) }
-func (p plainOnlySink) SubBatch(xs []float64) { p.real.SubBatch(xs) }
-
-func TestKeyedE2EAsync501WhenSinkHidesKeyed(t *testing.T) {
-	ctx := context.Background()
-	c, _ := startService(t, sumdsrv.Options{
-		Async: true, QueueLen: 8, MaxBatch: 8, MaxDelay: time.Millisecond,
-		WrapSink: func(real batch.Sink) batch.Sink { return plainOnlySink{real: real} },
-	})
-	err := c.AddKeyed(ctx, "k", []float64{1})
-	if err == nil || !strings.Contains(err.Error(), "HTTP 501") {
-		t.Errorf("keyed add through keyless sink: err = %v, want HTTP 501", err)
-	}
-	// Unkeyed ingestion through the same wrapped sink still works.
-	if err := c.AddBatch(ctx, []float64{2.5}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Sum(ctx)
-	if err != nil || got != 2.5 {
-		t.Fatalf("unkeyed path broken by wrapped sink: %g err=%v", got, err)
 	}
 }
 

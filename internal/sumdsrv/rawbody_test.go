@@ -3,7 +3,7 @@
 // (413 before any read, 400 for misaligned or truncated bodies, chunked
 // bodies still accepted) and the pool's safety (no recycled buffer ever
 // leaks values into another request, and no buffer is recycled while an
-// abandoned async batch is still queued on it) are pinned here.
+// abandoned batch is still queued on it) are pinned here.
 package sumdsrv_test
 
 import (
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"parsum"
-	"parsum/internal/batch"
 	"parsum/internal/gen"
 	"parsum/internal/sumdsrv"
 )
@@ -151,69 +150,67 @@ func TestRawBodyTruncatedOverTheWire(t *testing.T) {
 // and JSON — and demands the served sums equal parsum.Sum bit for bit.
 func TestRawBodyFormatsBitIdentical(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 200000, Delta: 2000, Seed: 5}).Slice()
-	for _, async := range []bool{false, true} {
-		c, hs := startService(t, sumdsrv.Options{Async: async, WALDir: t.TempDir(), WALFsync: "off"})
-		ctx := context.Background()
-		var global, keyedK []float64
-		sizes := []int{150000, 3, 4096, 1, 30000, 0, 12000}
-		off := 0
-		for i, n := range sizes {
-			part := xs[off : off+n]
-			off += n
-			chunked := i%2 == 1
-			var body io.Reader = strings.NewReader(string(leBytes(part)))
-			if chunked {
-				body = io.MultiReader(body) // hides the length: sent chunked
-			}
-			path := "/v1/add"
-			if i%3 == 2 {
-				path = "/v1/add?key=k"
-				keyedK = append(keyedK, part...)
-			} else {
-				global = append(global, part...)
-			}
-			resp, err := hs.Client().Post(hs.URL+path, "application/octet-stream", body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("async=%v batch %d (n=%d chunked=%v): %d", async, i, n, chunked, resp.StatusCode)
-			}
+	c, hs := startService(t, sumdsrv.Options{WALDir: t.TempDir(), WALFsync: "off"})
+	ctx := context.Background()
+	var global, keyedK []float64
+	sizes := []int{150000, 3, 4096, 1, 30000, 0, 12000}
+	off := 0
+	for i, n := range sizes {
+		part := xs[off : off+n]
+		off += n
+		chunked := i%2 == 1
+		var body io.Reader = strings.NewReader(string(leBytes(part)))
+		if chunked {
+			body = io.MultiReader(body) // hides the length: sent chunked
 		}
-		// A sub of a prefix, and a JSON add, through the same server.
-		if err := c.SubBatch(ctx, global[:10]); err != nil {
-			t.Fatal(err)
+		path := "/v1/add"
+		if i%3 == 2 {
+			path = "/v1/add?key=k"
+			keyedK = append(keyedK, part...)
+		} else {
+			global = append(global, part...)
 		}
-		resp, err := hs.Client().Post(hs.URL+"/v1/add", "application/json", strings.NewReader(`{"values":[0.1,0.2]}`))
+		resp, err := hs.Client().Post(hs.URL+path, "application/octet-stream", body)
 		if err != nil {
 			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("JSON add: %d", resp.StatusCode)
+			t.Fatalf("batch %d (n=%d chunked=%v): %d", i, n, chunked, resp.StatusCode)
 		}
-		want := parsum.Sum(append(append([]float64{}, global[10:]...), 0.1, 0.2))
-		got, err := c.Sum(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("async=%v: global sum %x, want %x", async, math.Float64bits(got), math.Float64bits(want))
-		}
-		gotK, ok, err := c.SumKey(ctx, "k")
-		if err != nil || !ok {
-			t.Fatal(ok, err)
-		}
-		if wantK := parsum.Sum(keyedK); math.Float64bits(gotK) != math.Float64bits(wantK) {
-			t.Errorf("async=%v: keyed sum %x, want %x", async, math.Float64bits(gotK), math.Float64bits(wantK))
-		}
+	}
+	// A sub of a prefix, and a JSON add, through the same server.
+	if err := c.SubBatch(ctx, global[:10]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hs.Client().Post(hs.URL+"/v1/add", "application/json", strings.NewReader(`{"values":[0.1,0.2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON add: %d", resp.StatusCode)
+	}
+	want := parsum.Sum(append(append([]float64{}, global[10:]...), 0.1, 0.2))
+	got, err := c.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("global sum %x, want %x", math.Float64bits(got), math.Float64bits(want))
+	}
+	gotK, ok, err := c.SumKey(ctx, "k")
+	if err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if wantK := parsum.Sum(keyedK); math.Float64bits(gotK) != math.Float64bits(wantK) {
+		t.Errorf("keyed sum %x, want %x", math.Float64bits(gotK), math.Float64bits(wantK))
 	}
 }
 
 // TestAbandonedAsyncBatchKeepsItsBuffer cancels a request while its
-// batch waits in the async queue, then floods the server with
+// batch waits for a parked flush, then floods the server with
 // same-sized requests. The abandoned batch is still admitted and will
 // be flushed from its body buffer, so that buffer must not go back to
 // the pool: if it did, a flood request would read its body into it and
@@ -221,11 +218,8 @@ func TestRawBodyFormatsBitIdentical(t *testing.T) {
 // with -race this also catches the unsynchronized reuse itself.
 func TestAbandonedAsyncBatchKeepsItsBuffer(t *testing.T) {
 	const n, flood = 512, 24
-	gs := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
-	srv, err := sumdsrv.New(sumdsrv.Options{
-		Shards: 1, Async: true, QueueLen: 64, MaxBatch: 1, MaxDelay: time.Second,
-		WrapSink: func(real batch.Sink) batch.Sink { gs.real = real; return gs },
-	})
+	gs := newGatedSink()
+	srv, err := sumdsrv.New(sumdsrv.Options{Shards: 1, QueueLen: 64, WrapSink: gs.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +232,8 @@ func TestAbandonedAsyncBatchKeepsItsBuffer(t *testing.T) {
 		return xs
 	}
 
-	// A parks the flusher inside the sink; B queues behind it and is
-	// then abandoned by its caller.
+	// A parks a flusher inside the sink; B queues behind it, or parks
+	// another flusher, and is then abandoned by its caller.
 	post := func(ctx context.Context, xs []float64) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/add", strings.NewReader(string(leBytes(xs)))).WithContext(ctx)
 		req.Header.Set("Content-Type", "application/octet-stream")
@@ -250,7 +244,7 @@ func TestAbandonedAsyncBatchKeepsItsBuffer(t *testing.T) {
 	all := vals(1)
 	doneA := make(chan int, 1)
 	go func() { doneA <- post(context.Background(), vals(1)).Code }()
-	<-gs.entered
+	gs.awaitParked(t)
 	ctxB, cancelB := context.WithCancel(context.Background())
 	doneB := make(chan int, 1)
 	go func() { doneB <- post(ctxB, vals(1e6)).Code }()

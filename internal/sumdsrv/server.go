@@ -23,8 +23,8 @@
 //	                  instances can chain into reduction trees
 //	GET  /v1/sum      {"sum":"<decimal>","bits":"<hex>",...} — rounded once
 //	POST /v1/reset    empty the accumulator
-//	GET  /v1/stats    ingestion counters (JSON; includes the async
-//	                  batcher's counters when async mode is on)
+//	GET  /v1/stats    ingestion counters (JSON; includes the ingest
+//	                  batcher's counters)
 //	GET  /v1/healthz  liveness + configuration; 503 while durability is
 //	                  degraded (a WAL write or fsync failure not yet
 //	                  followed by a durable success)
@@ -35,20 +35,22 @@
 // only representation the service holds — are rejected with 400 and
 // never disturb accumulated state; bodies are size-capped.
 //
-// # Async ingestion
+// # Ingestion
 //
-// With Options.Async, /v1/add and /v1/sub stop walking the accumulator
-// under the request goroutine and instead enqueue into an internal/batch
-// Batcher: a bounded queue drained by flusher goroutines on a
-// size-or-deadline trigger (Options.MaxBatch, Options.MaxDelay). The
+// Every /v1/add and /v1/sub, plain or keyed, JSON or octet-stream, is
+// enqueued into an internal/batch Batcher: a bounded queue drained by
+// GOMAXPROCS flushers, each taking whatever is queued the moment it is
+// free. A lone request flushes at once; under load requests pile up
+// behind busy flushers and share one journal commit (group commit). The
 // handler replies 200 only after the flush containing its values has
-// completed (group commit), so "accepted" still means "applied": any sum
+// been journaled and applied, so "accepted" means "applied": any sum
 // requested after a 200 observes those values, and the exactness
 // guarantee is unchanged — batching only regroups additions inside a
-// commutative group. When the queue is full the request is rejected
-// immediately with 429 and a Retry-After hint, accumulated state
-// untouched, so ingest overload degrades to shed load rather than to
-// unbounded queueing.
+// commutative group. A flush whose journal commit fails answers every
+// request of its group 500 with state untouched. When the queue is full
+// the request is rejected immediately with 429 and Retry-After: 1,
+// accumulated state untouched, so ingest overload degrades to shed load
+// rather than to unbounded queueing.
 package sumdsrv
 
 import (
@@ -91,22 +93,13 @@ type Options struct {
 	// key-addressed endpoints (/v1/add with a key, /v1/sum?key=,
 	// /v1/keyed/partial); 0 means GOMAXPROCS.
 	KeyPartitions int
-	// Async routes /v1/add and /v1/sub through the batched ingestion
-	// front-end (see the package comment). Off by default: the sync
-	// path remains the escape hatch.
-	Async bool
-	// QueueLen, MaxBatch, MaxDelay and Flushers configure the batcher
-	// when Async is set (0 means the internal/batch defaults: 256
-	// requests, 4096 values, 2ms, 1 flusher). Ignored in sync mode.
+	// QueueLen bounds the ingest requests admitted but not yet flushed;
+	// beyond it /v1/add and /v1/sub answer 429. 0 means 256.
 	QueueLen int
-	MaxBatch int
-	MaxDelay time.Duration
-	Flushers int
-	// WrapSink, when non-nil, wraps the accumulator before the batcher
-	// attaches to it. Test seam: e2e tests interpose a gated sink to
-	// hold a flush open and pin the full-queue 429 contract
-	// deterministically. Ignored in sync mode. When the wrapped sink does
-	// not implement batch.KeyedSink, async keyed ingestion answers 501.
+	// WrapSink, when non-nil, wraps the flush callback (journal, then
+	// apply) before the batcher attaches to it. Test seam: e2e tests
+	// interpose a gated callback to hold flushes open and pin the
+	// full-queue 429 contract deterministically.
 	WrapSink func(batch.Sink) batch.Sink
 	// WALDir enables the write-ahead log: every state-mutating request
 	// is journaled to this directory and committed before it is
@@ -231,15 +224,10 @@ func (c *counters) snapshot() counterSnap {
 type Server struct {
 	sh      *shard.Sharded
 	keyed   *keyed.Store
-	bat     *batch.Batcher // nil in sync mode
+	bat     *batch.Batcher
 	mux     *http.ServeMux
 	start   time.Time
 	maxBody int64
-	// retryAfter is the precomputed Retry-After header value for 429
-	// responses: the queue drains at least every MaxDelay, so waiting
-	// that long (rounded up to the header's 1s granularity) is always
-	// enough.
-	retryAfter string
 
 	// Durability (nil / zero when Options.WALDir is empty). applyMu is
 	// held shared around every journal+apply pair and exclusively by
@@ -298,39 +286,11 @@ func New(opt Options) (*Server, error) {
 		// that are already in the log.
 		s.wal = wlog
 	}
-	if opt.Async {
-		// The batcher's sink pairs the global accumulator with the keyed
-		// store, so one queue and one group-commit flush serve both kinds
-		// of traffic.
-		var sink batch.Sink = dualSink{sh: sh, keyed: ks}
-		if opt.WrapSink != nil {
-			sink = opt.WrapSink(sink)
-		}
-		if s.wal != nil {
-			// Interpose the journal outermost so a flush group is durable
-			// before it is applied and acknowledged. The keyed-capable
-			// wrapper is chosen only when the wrapped sink itself is keyed
-			// capable, preserving the 501 contract for seams that hide it.
-			ws := walSink{s: s, inner: sink}
-			ws.slice, _ = sink.(batch.SliceSink)
-			if kd, ok := sink.(batch.KeyedSink); ok {
-				sink = walKeyedSink{walSink: ws, keyed: kd}
-			} else {
-				sink = ws
-			}
-		}
-		s.bat = batch.New(sink, batch.Options{
-			QueueLen: opt.QueueLen,
-			MaxBatch: opt.MaxBatch,
-			MaxDelay: opt.MaxDelay,
-			Flushers: opt.Flushers,
-		})
-		secs := int64(math.Ceil((2 * s.bat.Options().MaxDelay).Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		s.retryAfter = strconv.FormatInt(secs, 10)
+	sink := batch.Sink(s.flush)
+	if opt.WrapSink != nil {
+		sink = opt.WrapSink(sink)
 	}
+	s.bat = batch.New(sink, batch.Options{QueueLen: opt.QueueLen})
 	s.mux.HandleFunc("POST /v1/add", s.handleAdd)
 	s.mux.HandleFunc("POST /v1/sub", s.handleSub)
 	s.mux.HandleFunc("POST /v1/partial", s.handlePushPartial)
@@ -347,23 +307,6 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// dualSink is the async sink: the global Sharded accumulator (Sink +
-// SliceSink) joined with the keyed store (KeyedSink).
-type dualSink struct {
-	sh    *shard.Sharded
-	keyed *keyed.Store
-}
-
-func (d dualSink) AddBatch(xs []float64)            { d.sh.AddBatch(xs) }
-func (d dualSink) SubBatch(xs []float64)            { d.sh.SubBatch(xs) }
-func (d dualSink) AddBatches(batches [][]float64)   { d.sh.AddBatches(batches) }
-func (d dualSink) SubBatches(batches [][]float64)   { d.sh.SubBatches(batches) }
-func (d dualSink) AddKeyedBatches(bs []keyed.Batch) { d.keyed.AddKeyedBatches(bs) }
-func (d dualSink) SubKeyedBatches(bs []keyed.Batch) { d.keyed.SubKeyedBatches(bs) }
-
-// Async reports whether the batched ingestion front-end is on.
-func (s *Server) Async() bool { return s.bat != nil }
-
 // Durable reports whether the write-ahead log is journaling ingests.
 func (s *Server) Durable() bool { return s.wal != nil }
 
@@ -371,13 +314,11 @@ func (s *Server) Durable() bool { return s.wal != nil }
 // value when the WAL is off).
 func (s *Server) Recovery() WALRecovery { return s.recovery }
 
-// Close drains and stops the async batcher (flushing every admitted
+// Close drains and stops the ingest batcher (flushing every admitted
 // batch) so accepted requests are never dropped on shutdown, then seals
 // the journal. Safe to call more than once.
 func (s *Server) Close() {
-	if s.bat != nil {
-		s.bat.Close()
-	}
+	s.bat.Close()
 	if s.wal != nil {
 		_ = s.wal.Close()
 	}
@@ -405,8 +346,8 @@ type SumResponse struct {
 }
 
 // StatsResponse is the GET /v1/stats payload. The server-level counters
-// are one consistent snapshot (taken under one lock); Async, when
-// present, is a second consistent snapshot of the batcher's ledger.
+// are one consistent snapshot (taken under one lock); Async is a second
+// consistent snapshot, of the ingest batcher's ledger.
 //
 // Every counter is monotone over the process lifetime: POST /v1/reset
 // clears accumulated state, not the ledger. Only a process restart
@@ -424,7 +365,7 @@ type StatsResponse struct {
 	Deduped       int64       `json:"deduped"`
 	UptimeSeconds int64       `json:"uptime_seconds"`
 	Keyed         KeyedStats  `json:"keyed"`
-	Async         *AsyncStats `json:"async,omitempty"`
+	Async         *AsyncStats `json:"async"`
 	WAL           *WALStats   `json:"wal,omitempty"`
 }
 
@@ -441,13 +382,10 @@ type KeyedStats struct {
 	SumsServed int64 `json:"sums_served"`
 }
 
-// AsyncStats is the batcher's configuration and counter snapshot inside
-// StatsResponse (async mode only).
+// AsyncStats is the ingest batcher's queue bound and counter snapshot
+// inside StatsResponse.
 type AsyncStats struct {
-	QueueLen   int     `json:"queue_len"`
-	MaxBatch   int     `json:"max_batch"`
-	MaxDelayMs float64 `json:"max_delay_ms"`
-	Flushers   int     `json:"flushers"`
+	QueueLen int `json:"queue_len"`
 
 	Enqueued        int64 `json:"enqueued"`
 	EnqueuedValues  int64 `json:"enqueued_values"`
@@ -455,9 +393,6 @@ type AsyncStats struct {
 	Flushes         int64 `json:"flushes"`
 	FlushedRequests int64 `json:"flushed_requests"`
 	FlushedValues   int64 `json:"flushed_values"`
-	SizeFlushes     int64 `json:"size_flushes"`
-	DeadlineFlushes int64 `json:"deadline_flushes"`
-	DrainFlushes    int64 `json:"drain_flushes"`
 	QueueDepth      int64 `json:"queue_depth"`
 	FlushNsTotal    int64 `json:"flush_ns_total"`
 
@@ -627,43 +562,11 @@ func checkKeyParam(w http.ResponseWriter, key string) bool {
 	return true
 }
 
-// ingest applies one decoded batch through the configured path: the
-// batcher in async mode (waiting for its flush — group commit), the
-// accumulator or keyed store directly otherwise. A non-empty key routes
-// to the keyed store. It reports whether the batch was accepted, writing
-// the shed-load or failure response itself when not.
+// ingest submits one decoded batch to the batcher and waits for the
+// flush that journals and applies it (group commit). A non-empty key
+// routes to the keyed store. It reports whether the batch was applied,
+// writing the shed-load or failure response itself when not.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs []float64, sub bool) bool {
-	if s.bat == nil {
-		s.applyMu.RLock()
-		if s.wal != nil {
-			// Journal-then-apply: a decoded raw batch cannot fail, so the
-			// record can be made durable before the state moves. A commit
-			// failure rejects the request with state untouched.
-			if key != "" {
-				s.wal.AppendKeyed(key, xs, sub)
-			} else {
-				s.wal.AppendBatch(xs, sub)
-			}
-			if err := s.wal.Commit(); err != nil {
-				s.applyMu.RUnlock()
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journaling batch: %w", err))
-				return false
-			}
-		}
-		switch {
-		case key != "" && sub:
-			s.keyed.Sub(key, xs)
-		case key != "":
-			s.keyed.Add(key, xs)
-		case sub:
-			s.sh.SubBatch(xs)
-		default:
-			s.sh.AddBatch(xs)
-		}
-		s.applyMu.RUnlock()
-		s.noteMutations(1)
-		return true
-	}
 	var err error
 	switch {
 	case key != "" && sub:
@@ -678,25 +581,23 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 	switch {
 	case err == nil:
 		return true
-	case errors.Is(err, batch.ErrNoKeyedSink):
-		// A WrapSink seam hid the keyed store from the batcher.
-		writeError(w, http.StatusNotImplemented, err)
-		return false
 	case errors.Is(err, batch.ErrQueueFull):
 		// Fail fast, state untouched: the client should back off and
-		// retry after the queue has had a chance to drain.
+		// retry once a flusher has drained the queue, which takes one
+		// flush, not a timer.
 		s.st.bump(&s.st.rejected)
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
 		return false
-	case errors.Is(err, batch.ErrClosed):
+	case errors.Is(err, batch.ErrClosed), r.Context().Err() != nil:
+		// Shutting down, or the client abandoned the request mid-wait
+		// (the batch is admitted and will still be flushed, but there is
+		// nobody to tell). 499-style situations get a plain 503.
 		writeError(w, http.StatusServiceUnavailable, err)
 		return false
 	default:
-		// The client abandoned the request mid-wait; the batch is
-		// admitted and will still be flushed, but there is nobody to
-		// tell. 499-style situations get a plain 503.
-		writeError(w, http.StatusServiceUnavailable, err)
+		// The flush could not journal the group: nothing was applied.
+		writeError(w, http.StatusInternalServerError, err)
 		return false
 	}
 }
@@ -721,8 +622,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, sub bool) {
 			return
 		}
 		// Recycle only once ingest has returned, and never when the
-		// request's context is done: an async batch whose caller stopped
-		// waiting is still queued and will be flushed from this memory.
+		// request's context is done: a batch whose caller stopped waiting
+		// is still queued and will be flushed from this memory.
 		// (A context that ends after a completed flush only costs one
 		// recycle.)
 		defer func() {
@@ -885,30 +786,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SumsServed: c.keyedSums,
 		},
 	}
-	if s.bat != nil {
-		m := s.bat.Metrics()
-		o := s.bat.Options()
-		resp.Async = &AsyncStats{
-			QueueLen:   o.QueueLen,
-			MaxBatch:   o.MaxBatch,
-			MaxDelayMs: float64(o.MaxDelay) / float64(time.Millisecond),
-			Flushers:   o.Flushers,
+	m := s.bat.Metrics()
+	resp.Async = &AsyncStats{
+		QueueLen: s.bat.Options().QueueLen,
 
-			Enqueued:        m.Enqueued,
-			EnqueuedValues:  m.EnqueuedValues,
-			Rejected:        m.Rejected,
-			Flushes:         m.Flushes,
-			FlushedRequests: m.FlushedRequests,
-			FlushedValues:   m.FlushedValues,
-			SizeFlushes:     m.SizeFlushes,
-			DeadlineFlushes: m.DeadlineFlushes,
-			DrainFlushes:    m.DrainFlushes,
-			QueueDepth:      m.QueueDepth,
-			FlushNsTotal:    m.FlushNs,
+		Enqueued:        m.Enqueued,
+		EnqueuedValues:  m.EnqueuedValues,
+		Rejected:        m.Rejected,
+		Flushes:         m.Flushes,
+		FlushedRequests: m.FlushedRequests,
+		FlushedValues:   m.FlushedValues,
+		QueueDepth:      m.QueueDepth,
+		FlushNsTotal:    m.FlushNs,
 
-			KeyedEnqueued:        m.KeyedEnqueued,
-			KeyedFlushedRequests: m.KeyedFlushedRequests,
-		}
+		KeyedEnqueued:        m.KeyedEnqueued,
+		KeyedFlushedRequests: m.KeyedFlushedRequests,
 	}
 	if s.wal != nil {
 		m := s.wal.Metrics()
@@ -938,7 +830,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var p batch.PromWriter
 	p.Gauge("sumd_up", "Whether the service is serving (always 1 when scraped).", 1)
 	p.Gauge("sumd_shards", "Writer-stripe count of the backing sharded accumulator.", float64(s.sh.Shards()))
-	p.Gauge("sumd_async", "Whether the batched async ingestion front-end is enabled.", b2f(s.bat != nil))
 	p.Gauge("sumd_uptime_seconds", "Seconds since the server was constructed.", time.Since(s.start).Seconds())
 	p.Counter("sumd_values_total", "Raw float64s accepted via /v1/add.", float64(c.values))
 	p.Counter("sumd_batches_total", "Accepted /v1/add requests.", float64(c.batches))
@@ -956,30 +847,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("sumd_keyed_sub_batches_total", "Accepted keyed /v1/sub requests.", float64(c.keyedSubBatches))
 	p.Counter("sumd_keyed_partials_total", "Keys merged via POST /v1/keyed/partial.", float64(c.keyedPartials))
 	p.Counter("sumd_keyed_sums_served_total", "Keyed sum and keyed partial-export responses served.", float64(c.keyedSums))
-	if s.bat != nil {
-		m := s.bat.Metrics()
-		o := s.bat.Options()
-		p.Gauge("sumd_ingest_queue_len", "Capacity of the bounded ingest queue (requests).", float64(o.QueueLen))
-		p.Gauge("sumd_ingest_max_batch", "Pending-value count that triggers a flush.", float64(o.MaxBatch))
-		p.Gauge("sumd_ingest_max_delay_seconds", "Latency budget before a deadline flush.", o.MaxDelay.Seconds())
-		p.Gauge("sumd_ingest_queue_depth", "Requests admitted but not yet flushed.", float64(m.QueueDepth))
-		p.Counter("sumd_ingest_enqueued_total", "Requests admitted to the ingest queue.", float64(m.Enqueued))
-		p.Counter("sumd_ingest_enqueued_values_total", "Float64s admitted to the ingest queue.", float64(m.EnqueuedValues))
-		p.Counter("sumd_ingest_rejected_total", "Requests refused because the ingest queue was full.", float64(m.Rejected))
-		p.Counter("sumd_ingest_flushes_total", "Coalesced flushes applied to the accumulator.", float64(m.Flushes))
-		p.Counter("sumd_ingest_flushed_values_total", "Float64s applied to the accumulator by flushes.", float64(m.FlushedValues))
-		p.Counter("sumd_ingest_keyed_enqueued_total", "Keyed requests admitted to the ingest queue.", float64(m.KeyedEnqueued))
-		p.Counter("sumd_ingest_keyed_flushed_requests_total", "Keyed requests completed by flushes.", float64(m.KeyedFlushedRequests))
-		p.CounterVec("sumd_ingest_flush_cause_total", "Flushes by trigger.", "cause", map[string]float64{
-			"size":     float64(m.SizeFlushes),
-			"deadline": float64(m.DeadlineFlushes),
-			"drain":    float64(m.DrainFlushes),
-		})
-		p.Histogram("sumd_ingest_flush_size", "Values per flush.",
-			batch.SizeBuckets[:], m.SizeHist[:], float64(m.FlushedValues))
-		p.Histogram("sumd_ingest_flush_latency_seconds", "Wall time inside accumulator flush calls.",
-			batch.LatencyBuckets[:], m.LatencyHist[:], float64(m.FlushNs)/1e9)
-	}
+	m := s.bat.Metrics()
+	p.Gauge("sumd_ingest_queue_len", "Capacity of the bounded ingest queue (requests).", float64(s.bat.Options().QueueLen))
+	p.Gauge("sumd_ingest_queue_depth", "Requests admitted but not yet flushed.", float64(m.QueueDepth))
+	p.Counter("sumd_ingest_enqueued_total", "Requests admitted to the ingest queue.", float64(m.Enqueued))
+	p.Counter("sumd_ingest_enqueued_values_total", "Float64s admitted to the ingest queue.", float64(m.EnqueuedValues))
+	p.Counter("sumd_ingest_rejected_total", "Requests refused because the ingest queue was full.", float64(m.Rejected))
+	p.Counter("sumd_ingest_flushes_total", "Flush groups handed to the journal and accumulators.", float64(m.Flushes))
+	p.Counter("sumd_ingest_flushed_values_total", "Float64s in flushed groups.", float64(m.FlushedValues))
+	p.Counter("sumd_ingest_keyed_enqueued_total", "Keyed requests admitted to the ingest queue.", float64(m.KeyedEnqueued))
+	p.Counter("sumd_ingest_keyed_flushed_requests_total", "Keyed requests completed by flushes.", float64(m.KeyedFlushedRequests))
+	p.Histogram("sumd_ingest_flush_size", "Values per flush.",
+		batch.SizeBuckets[:], m.SizeHist[:], float64(m.FlushedValues))
+	p.Histogram("sumd_ingest_flush_latency_seconds", "Wall time inside flush calls (journal and apply).",
+		batch.LatencyBuckets[:], m.LatencyHist[:], float64(m.FlushNs)/1e9)
 	bad, _ := s.degraded()
 	p.Gauge("sumd_degraded", "Whether durability is degraded (healthz serving 503).", b2f(bad))
 	p.Gauge("sumd_wal_enabled", "Whether the write-ahead log is journaling ingests.", b2f(s.wal != nil))
@@ -987,7 +868,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m := s.wal.Metrics()
 		p.Counter("sumd_wal_records_total", "Mutation records journaled.", float64(m.Records))
 		p.Counter("sumd_wal_bytes_total", "Frame bytes written to the journal (headers included).", float64(m.Bytes))
-		p.Counter("sumd_wal_commits_total", "Journal commits (group commits in async mode).", float64(m.Commits))
+		p.Counter("sumd_wal_commits_total", "Journal commits (one per ingest flush group or push).", float64(m.Commits))
 		p.Counter("sumd_wal_fsyncs_total", "Fsyncs issued by the journal.", float64(m.Fsyncs))
 		p.Counter("sumd_wal_rotations_total", "Segment rotations.", float64(m.Rotations))
 		p.Counter("sumd_wal_snapshots_total", "State snapshots written (each truncates replayed segments).", float64(m.Snapshots))

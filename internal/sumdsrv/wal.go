@@ -3,14 +3,15 @@ package sumdsrv
 // Durability wiring: the glue between the HTTP surface and internal/wal.
 //
 // Every state-mutating request is journaled and committed before its 200
-// is written, so "acknowledged" implies "recoverable". The two ingestion
-// paths meet the journal differently:
+// is written, so "acknowledged" implies "recoverable". The two kinds of
+// mutation meet the journal in opposite orders:
 //
 //   - Raw value batches (/v1/add, /v1/sub) cannot fail validation once
-//     decoded, so the sync path journals first and applies second; in
-//     async mode the walSink wrapper journals each flush group and
-//     commits once per flush — the batcher's group commit doubles as a
-//     group fsync.
+//     decoded, so the batcher's flush callback journals each flush group
+//     in one commit — the group commit doubles as a group fsync — and
+//     applies the group only if that commit succeeded. A failed commit
+//     leaves nothing in the log and nothing applied, so live state and
+//     replay agree.
 //   - Partial/envelope pushes validate inside the accumulator merge, so
 //     they apply first (keeping garbage out of the log) and journal the
 //     already-accepted blob second.
@@ -346,99 +347,38 @@ func checkRecKey(key string) error {
 	return nil
 }
 
-// walSink interposes the journal between the batcher and the real sink.
-// Each flush group is journaled and committed in one Commit before it is
-// applied — group commit in the batcher is group commit in the journal —
-// and the whole journal+apply pair holds applyMu shared so snapshots cut
-// between flushes, never through one. A journal-commit failure here
-// cannot fail the flush (the batch API has no error path back to the
-// waiting requests); it is recorded on the journal's error ledger and
-// surfaces as sumd_wal_errors_total.
-type walSink struct {
-	s     *Server
-	inner batch.Sink
-	slice batch.SliceSink // non-nil when inner batches natively
-}
-
-func (ws walSink) AddBatch(xs []float64) {
-	ws.s.applyMu.RLock()
-	ws.s.wal.AppendBatch(xs, false)
-	_ = ws.s.wal.Commit()
-	ws.inner.AddBatch(xs)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(1)
-}
-
-func (ws walSink) SubBatch(xs []float64) {
-	ws.s.applyMu.RLock()
-	ws.s.wal.AppendBatch(xs, true)
-	_ = ws.s.wal.Commit()
-	ws.inner.SubBatch(xs)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(1)
-}
-
-func (ws walSink) AddBatches(batches [][]float64) {
-	ws.s.applyMu.RLock()
-	for _, xs := range batches {
-		ws.s.wal.AppendBatch(xs, false)
+// flush is the batcher's sink: it journals one flush group and applies
+// it. Holding applyMu shared, so snapshots cut between flushes and never
+// through one, it journals every request of the group in one commit and
+// applies the group only if the commit succeeded — through applyRecord,
+// the same code recovery replays the records with. Its error reaches
+// every request of the group, each answered 500 with state untouched.
+func (s *Server) flush(group []batch.Request) error {
+	recs := make([]wal.Record, len(group))
+	for i, r := range group {
+		t := wal.RecAdd
+		switch {
+		case r.Key != "" && r.Sub:
+			t = wal.RecKeyedSub
+		case r.Key != "":
+			t = wal.RecKeyedAdd
+		case r.Sub:
+			t = wal.RecSub
+		}
+		recs[i] = wal.Record{Type: t, Key: r.Key, Values: r.Values}
 	}
-	_ = ws.s.wal.Commit()
-	if ws.slice != nil {
-		ws.slice.AddBatches(batches)
-	} else {
-		for _, xs := range batches {
-			ws.inner.AddBatch(xs)
+	s.applyMu.RLock()
+	defer s.applyMu.RUnlock()
+	if s.wal != nil {
+		if err := s.wal.Journal(recs...); err != nil {
+			return fmt.Errorf("journaling batch: %w", err)
 		}
 	}
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-func (ws walSink) SubBatches(batches [][]float64) {
-	ws.s.applyMu.RLock()
-	for _, xs := range batches {
-		ws.s.wal.AppendBatch(xs, true)
+	for _, rec := range recs {
+		// Value records fail only on a bad key, and the batcher admits
+		// only valid keys.
+		_ = s.applyRecord(rec)
 	}
-	_ = ws.s.wal.Commit()
-	if ws.slice != nil {
-		ws.slice.SubBatches(batches)
-	} else {
-		for _, xs := range batches {
-			ws.inner.SubBatch(xs)
-		}
-	}
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-// walKeyedSink extends walSink with the keyed flush path. It exists as a
-// separate type so that wrapping a sink that does NOT implement the
-// keyed interface yields a wrapper that does not either — the batcher's
-// 501 contract for keyed-less sinks must survive the journal interposer.
-type walKeyedSink struct {
-	walSink
-	keyed batch.KeyedSink
-}
-
-func (ws walKeyedSink) AddKeyedBatches(batches []keyed.Batch) {
-	ws.s.applyMu.RLock()
-	for _, b := range batches {
-		ws.s.wal.AppendKeyed(b.Key, b.Values, false)
-	}
-	_ = ws.s.wal.Commit()
-	ws.keyed.AddKeyedBatches(batches)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-func (ws walKeyedSink) SubKeyedBatches(batches []keyed.Batch) {
-	ws.s.applyMu.RLock()
-	for _, b := range batches {
-		ws.s.wal.AppendKeyed(b.Key, b.Values, true)
-	}
-	_ = ws.s.wal.Commit()
-	ws.keyed.SubKeyedBatches(batches)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
+	s.noteMutations(int64(len(recs)))
+	return nil
 }

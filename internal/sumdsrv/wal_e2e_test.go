@@ -1,7 +1,7 @@
 // End-to-end durability tests beyond the crash matrix: snapshot-and-
 // truncate cycles, journaled blob pushes (plain partials, binary keyed
 // envelopes, keyed JSON) replayed bit-exactly, idempotency tokens
-// surviving snapshots and restarts, and concurrent async ingest whose
+// surviving snapshots and restarts, and concurrent batched ingest whose
 // whole acked multiset must come back after a restart.
 package sumdsrv_test
 
@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/gen"
@@ -75,8 +74,8 @@ func TestWALSnapshotsAndBlobReplay(t *testing.T) {
 		Shards: 2, KeyPartitions: 2,
 		WALDir: dir, WALFsync: "off", WALSnapshotEvery: 5,
 	})
-	if !srv.Durable() || srv.Async() {
-		t.Fatalf("Durable=%t Async=%t, want durable sync server", srv.Durable(), srv.Async())
+	if !srv.Durable() {
+		t.Fatal("server with a WAL directory is not durable")
 	}
 
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 300, Delta: 80, Seed: 17}).Slice()
@@ -293,19 +292,19 @@ func TestWALReplayRejectsForeignEngineRecords(t *testing.T) {
 	}
 }
 
-// TestWALAsyncConcurrentDurability hammers a WAL-enabled async server
+// TestWALAsyncConcurrentDurability hammers a WAL-enabled server
 // with concurrent plain and keyed traffic (adds and retractions), then
 // restarts from the directory: the recovered bits must equal the exact
 // oracle over everything that was acked. Group commit means multi-item
 // flush groups journal as one commit — this is the test that exercises
-// the slice and keyed sink paths under contention.
+// mixed plain and keyed groups under contention.
 func TestWALAsyncConcurrentDurability(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	_, c, _ := startServer(t, sumdsrv.Options{
 		Shards: 2, KeyPartitions: 2,
-		Async: true, QueueLen: 64, MaxBatch: 32, MaxDelay: time.Millisecond, Flushers: 2,
-		WALDir: dir, WALFsync: "off",
+		QueueLen: 64,
+		WALDir:   dir, WALFsync: "off",
 	})
 
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 4000, Delta: 400, Seed: 23}).Slice()
@@ -381,7 +380,7 @@ func TestWALAsyncConcurrentDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := oracle.Round(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("recovered async sum %x, want %x", math.Float64bits(got), math.Float64bits(want))
+		t.Errorf("recovered sum %x, want %x", math.Float64bits(got), math.Float64bits(want))
 	}
 	for key, acc := range keyOracle {
 		kv, ok, err := c2.SumKey(ctx, key)

@@ -85,9 +85,10 @@ func (t Type) String() string {
 	return fmt.Sprintf("wal.Type(%d)", uint8(t))
 }
 
-// Record is one decoded journal entry. Values and Blob alias the
-// recovery read buffer only until the next record is decoded; recovery
-// copies are made by the scanner, so holding on to a Record is safe.
+// Record is one journal entry: what Journal takes and what recovery
+// decodes. In a decoded Record, Values and Blob alias the recovery read
+// buffer only until the next record is decoded; recovery copies are made
+// by the scanner, so holding on to a Record is safe.
 type Record struct {
 	Type   Type
 	Key    string    // RecKeyedAdd / RecKeyedSub

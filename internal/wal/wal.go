@@ -39,11 +39,11 @@
 // # Fsync
 //
 // Commit durability is configurable: PolicyAlways fsyncs on every
-// Commit (each acknowledged request, or each async group commit — the
-// batcher's flush is the natural group fsync); PolicyInterval fsyncs in
-// the background every Options.Interval; PolicyOff never fsyncs. Note
-// that even PolicyOff survives process death (the OS holds the written
-// pages); the policy only chooses exposure to machine death.
+// commit (each Journal group — sumd's ingest flush is the natural group
+// fsync — and each Commit); PolicyInterval fsyncs in the background
+// every Options.Interval; PolicyOff never fsyncs. Note that even
+// PolicyOff survives process death (the OS holds the written pages); the
+// policy only chooses exposure to machine death.
 package wal
 
 import (
@@ -158,11 +158,13 @@ type Recovered struct {
 	Stats    RecoveryStats
 }
 
-// Log is the append side. Append* methods buffer frames; Commit writes
-// them to the active segment and applies the fsync policy. All methods
-// are safe for concurrent use; a Commit makes every previously
-// buffered frame durable (group commit), whichever goroutine buffered
-// it.
+// Log is the append side, with one contract per ack order. Journal is
+// for records not yet applied: it appends and commits one group, and a
+// failed commit drops the group, so the caller can leave its state
+// untouched. Append* and Commit are for records already applied: the
+// frames stay pending until some commit writes them, so the log catches
+// up with the state after a failure. A failed write never leaves part of
+// a commit in a segment. All methods are safe for concurrent use.
 type Log struct {
 	opt Options
 
@@ -175,6 +177,7 @@ type Log struct {
 	live     atomic.Int64 // bytes recovery would replay; see LiveBytes
 	dirty    bool         // written since last fsync
 	degraded bool         // last durability operation failed; see Degraded
+	stuck    error        // a failed commit's frames could not be removed; see undoWriteLocked
 	closed   bool
 	m        Metrics
 
@@ -411,11 +414,7 @@ func (l *Log) AppendBatch(xs []float64, sub bool) {
 	if sub {
 		t = RecSub
 	}
-	l.mu.Lock()
-	start := l.beginFrameLocked()
-	l.pend = encodeBatch(l.pend, t, "", xs)
-	l.endFrameLocked(start)
-	l.mu.Unlock()
+	l.bufferRecord(Record{Type: t, Values: xs})
 }
 
 // AppendKeyed buffers a keyed add/sub batch, copying xs like AppendBatch.
@@ -424,44 +423,38 @@ func (l *Log) AppendKeyed(key string, xs []float64, sub bool) {
 	if sub {
 		t = RecKeyedSub
 	}
-	l.mu.Lock()
-	start := l.beginFrameLocked()
-	l.pend = encodeBatch(l.pend, t, key, xs)
-	l.endFrameLocked(start)
-	l.mu.Unlock()
+	l.bufferRecord(Record{Type: t, Key: key, Values: xs})
 }
 
 // AppendBlob buffers a merged partial (RecPartial) or keyed envelope
 // (RecKeyedEnvelope) with its idempotency token ("" when none).
 func (l *Log) AppendBlob(t Type, token string, blob []byte) {
-	l.mu.Lock()
-	start := l.beginFrameLocked()
-	l.pend = encodeBlob(l.pend, t, token, blob)
-	l.endFrameLocked(start)
-	l.mu.Unlock()
+	l.bufferRecord(Record{Type: t, Token: token, Blob: blob})
 }
 
 // AppendReset buffers a reset marker.
-func (l *Log) AppendReset() {
+func (l *Log) AppendReset() { l.bufferRecord(Record{Type: RecReset}) }
+
+func (l *Log) bufferRecord(r Record) {
 	l.mu.Lock()
-	start := l.beginFrameLocked()
-	l.pend = append(l.pend, byte(RecReset))
-	l.endFrameLocked(start)
+	l.appendLocked(r)
 	l.mu.Unlock()
 }
 
-// beginFrameLocked reserves a frame header on the pending buffer and
-// returns its offset; the caller appends the payload straight after it
-// and seals the frame with endFrameLocked.
-func (l *Log) beginFrameLocked() int {
+// appendLocked frames r onto the pending buffer: it reserves the frame
+// header, appends the payload straight after it, and fills in length and
+// CRC in place.
+func (l *Log) appendLocked(r Record) {
 	start := len(l.pend)
 	l.pend = append(l.pend, make([]byte, frameHeaderLen)...)
-	return start
-}
-
-// endFrameLocked fills in the header reserved at start for the payload
-// appended since.
-func (l *Log) endFrameLocked(start int) {
+	switch r.Type {
+	case RecAdd, RecSub, RecKeyedAdd, RecKeyedSub:
+		l.pend = encodeBatch(l.pend, r.Type, r.Key, r.Values)
+	case RecReset:
+		l.pend = append(l.pend, byte(RecReset))
+	default:
+		l.pend = encodeBlob(l.pend, r.Type, r.Token, r.Blob)
+	}
 	putFrameHeader(l.pend[start:start+frameHeaderLen], l.pend[start+frameHeaderLen:])
 	l.pendN++
 }
@@ -469,16 +462,46 @@ func (l *Log) endFrameLocked(start int) {
 // Commit writes every buffered frame to the active segment in one
 // write, rotating first when the segment is full, and applies the
 // fsync policy. A nil return means every record buffered before this
-// call is at least OS-durable (and disk-durable under PolicyAlways).
+// call is at least OS-durable (and disk-durable under PolicyAlways). On
+// error the frames stay pending and ride the next successful commit:
+// their records are already applied, so the log must still catch up.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.commitLocked()
 }
 
+// Journal appends recs and commits them, all under the log's lock, so no
+// other caller's frames can join the group or split it. A nil return
+// means the whole group is durable per the fsync policy. On error none
+// of the group's frames is in the log — a segment write that failed
+// part-way is truncated back — so a caller that then leaves its state
+// untouched agrees with what recovery replays. Frames an Append method
+// buffered earlier ride the same write; on error they stay pending for
+// their own Commit.
+func (l *Log) Journal(recs ...Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	mark, markN := len(l.pend), l.pendN
+	for _, r := range recs {
+		l.appendLocked(r)
+	}
+	err := l.commitLocked()
+	if err != nil {
+		l.pend, l.pendN = l.pend[:mark], markN
+	}
+	return err
+}
+
+// commitLocked writes the pending frames. On failure the pending buffer
+// is left as it was, for Journal to trim, and the segment holds none of
+// its bytes.
 func (l *Log) commitLocked() error {
 	if l.closed {
 		return errors.New("wal: log closed")
+	}
+	if l.stuck != nil {
+		return l.stuck
 	}
 	if len(l.pend) == 0 {
 		return nil
@@ -489,27 +512,25 @@ func (l *Log) commitLocked() error {
 			return err
 		}
 	}
-	n, err := l.f.Write(l.pend)
-	l.size += int64(n)
-	l.live.Add(int64(n))
-	if err != nil {
-		l.noteErr(err)
-		return fmt.Errorf("wal: appending: %w", err)
+	if n, err := l.f.Write(l.pend); err != nil {
+		return l.undoWriteLocked(int64(n), fmt.Errorf("wal: appending: %w", err))
 	}
-	l.m.Bytes += int64(len(l.pend))
-	l.m.Records += l.pendN
-	l.m.Commits++
-	l.pend = l.pend[:0]
-	l.pendN = 0
 	if l.opt.Fsync == PolicyAlways {
 		if err := l.f.Sync(); err != nil {
-			l.noteErr(err)
-			return fmt.Errorf("wal: fsync: %w", err)
+			return l.undoWriteLocked(int64(len(l.pend)), fmt.Errorf("wal: fsync: %w", err))
 		}
 		l.m.Fsyncs++
 	} else {
 		l.dirty = true
 	}
+	n := int64(len(l.pend))
+	l.size += n
+	l.live.Add(n)
+	l.m.Bytes += n
+	l.m.Records += l.pendN
+	l.m.Commits++
+	l.pend = l.pend[:0]
+	l.pendN = 0
 	// A fully successful commit repairs the degraded flag — except under
 	// PolicyInterval, where the outstanding fsync obligation belongs to
 	// the background loop and only its success proves durability again.
@@ -517,6 +538,25 @@ func (l *Log) commitLocked() error {
 		l.degraded = false
 	}
 	return nil
+}
+
+// undoWriteLocked records a failed segment write or fsync and, when the
+// write had put bytes in the segment, truncates it back to its size
+// before the write: those frames belong to a commit its callers are told
+// failed, so recovery must never replay them. If the truncation fails
+// too, the log refuses every later commit rather than append behind
+// frames it cannot take back.
+func (l *Log) undoWriteLocked(written int64, err error) error {
+	l.noteErr(err)
+	if written == 0 {
+		return err
+	}
+	if terr := l.f.Truncate(l.size); terr != nil {
+		l.stuck = fmt.Errorf("wal: cannot remove a failed commit's frames (%v) after: %w", terr, err)
+		l.noteErr(l.stuck)
+		return l.stuck
+	}
+	return err
 }
 
 // rotateLocked seals the active segment and opens the next one. Under

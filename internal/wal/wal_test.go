@@ -493,3 +493,94 @@ func TestLiveBytesTracksReplayableLog(t *testing.T) {
 		t.Fatalf("reopened: %d records, LiveBytes %d; want 2 and %d", rec.Stats.Records, l2.LiveBytes(), want)
 	}
 }
+
+// TestFailedJournalLeavesNoFrames blocks a rotation (a directory sits
+// where the next segment file goes) so one Journal fails, then heals the
+// directory. The failed group must not reach the log — not through the
+// next commit, not on replay — while frames another caller buffered
+// before it stay pending and land with that caller's Commit.
+func TestFailedJournalLeavesNoFrames(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyAlways, SegBytes: 1})
+	if err := l.Journal(Record{Type: RecAdd, Values: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	block := filepath.Join(dir, segName(2))
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l.AppendKeyed("other", []float64{2}, false) // another caller's pending frame
+	err := l.Journal(
+		Record{Type: RecAdd, Values: []float64{10}},
+		Record{Type: RecKeyedSub, Key: "k", Values: []float64{20}},
+	)
+	if err == nil {
+		t.Fatal("Journal succeeded with the next segment blocked")
+	}
+	if bad, _ := l.Degraded(); !bad {
+		t.Fatal("failed Journal did not degrade the log")
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatalf("Commit after healing: %v", err)
+	}
+	if err := l.Journal(Record{Type: RecAdd, Values: []float64{100}}); err != nil {
+		t.Fatal(err)
+	}
+	if m := l.Metrics(); m.Records != 3 {
+		t.Fatalf("journaled %d records, want 3", m.Records)
+	}
+	l.Close()
+	_, rec := mustOpen(t, Options{Dir: dir})
+	checkRecovered(t, rec.Records, []Record{
+		{Type: RecAdd, Values: []float64{1}},
+		{Type: RecKeyedAdd, Key: "other", Values: []float64{2}},
+		{Type: RecAdd, Values: []float64{100}},
+	})
+}
+
+// TestFailedWriteDropsTheJournalGroup swaps the segment handle for a
+// read-only one, so the write itself fails. The failed Journal group
+// must never reach the log, while a frame buffered for Commit — a record
+// its caller already applied — stays pending and lands with the next
+// successful commit.
+func TestFailedWriteDropsTheJournalGroup(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
+	l.AppendBatch([]float64{1}, false)
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	l.mu.Lock()
+	rw := l.f
+	l.f = ro
+	l.mu.Unlock()
+	if err := l.Journal(Record{Type: RecAdd, Values: []float64{10}}); err == nil {
+		t.Fatal("Journal through a read-only handle succeeded")
+	}
+	l.AppendBatch([]float64{20}, false)
+	if err := l.Commit(); err == nil {
+		t.Fatal("Commit through a read-only handle succeeded")
+	}
+	l.mu.Lock()
+	l.f = rw
+	l.mu.Unlock()
+	l.AppendBatch([]float64{100}, false)
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, rec := mustOpen(t, Options{Dir: dir})
+	checkRecovered(t, rec.Records, []Record{
+		{Type: RecAdd, Values: []float64{1}},
+		{Type: RecAdd, Values: []float64{20}},
+		{Type: RecAdd, Values: []float64{100}},
+	})
+}

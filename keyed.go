@@ -77,8 +77,7 @@ func (k *Keyed) Reset() { k.s.Reset() }
 func (k *Keyed) DeleteRange(lo, hi string) int { return k.s.DeleteRange(lo, hi) }
 
 // AddKeyedBatches accumulates a group of keyed batches with one lock
-// acquisition per touched partition — the batch.KeyedSink flush entry
-// point.
+// acquisition per touched partition.
 func (k *Keyed) AddKeyedBatches(bs []KeyedBatch) { k.s.AddKeyedBatches(bs) }
 
 // SubKeyedBatches deletes a group of keyed batches, grouped like

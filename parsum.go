@@ -341,8 +341,8 @@ func (s *Sharded) Add(x float64) { s.s.Add(x) }
 func (s *Sharded) AddBatch(xs []float64) { s.s.AddBatch(xs) }
 
 // AddBatches accumulates every slice in batches exactly under one
-// striped-lock acquisition — the batch.SliceSink flush entry point, so
-// a coalesced flush group applies without concatenating request bodies.
+// striped-lock acquisition, so a group of request bodies applies without
+// concatenating them.
 func (s *Sharded) AddBatches(batches [][]float64) { s.s.AddBatches(batches) }
 
 // Sub deletes x from the accumulated sum exactly. Deletion is as exact as
@@ -355,8 +355,7 @@ func (s *Sharded) Sub(x float64) { s.s.Sub(x) }
 func (s *Sharded) SubBatch(xs []float64) { s.s.SubBatch(xs) }
 
 // SubBatches deletes every slice in batches exactly under one
-// striped-lock acquisition — the deletion half of the batch.SliceSink
-// flush entry point.
+// striped-lock acquisition — the deletion half of AddBatches.
 func (s *Sharded) SubBatches(batches [][]float64) { s.s.SubBatches(batches) }
 
 // Sum returns the correctly rounded exact sum of everything ingested so
