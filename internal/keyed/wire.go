@@ -140,36 +140,47 @@ type wireEntry struct {
 	acc  *accum.Dense
 }
 
-// decodeEnvelope validates a keyed envelope end to end and returns the
-// decoded entries. Nothing is returned on any error, and every length is
-// checked against the remaining bytes before allocation.
-func (s *Store) decodeEnvelope(data []byte) (entries []wireEntry, err error) {
+// Decoded is a keyed payload decoded and validated end to end, waiting
+// to be merged by MergeDecoded into the store that decoded it. Until
+// then no key is touched, so a caller can decide to drop it — a
+// rejected or failed write — and leave the store as it was.
+type Decoded struct{ entries []wireEntry }
+
+// Len is the number of entries the payload carries.
+func (d Decoded) Len() int { return len(d.entries) }
+
+// DecodeEnvelope decodes and validates a keyed envelope end to end (the
+// decode half of ImportMerge). Like Sharded.MergeBytes it returns errors
+// rather than panicking: the payload is remote input. Nothing is
+// returned on any error, and every length is checked against the
+// remaining bytes before allocation.
+func (s *Store) DecodeEnvelope(data []byte) (Decoded, error) {
 	if len(data) < 3 {
-		return nil, ErrWireTruncated
+		return Decoded{}, ErrWireTruncated
 	}
 	if data[0] != keyedMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrWireInvalid, data[0])
+		return Decoded{}, fmt.Errorf("%w: bad magic %#x", ErrWireInvalid, data[0])
 	}
 	if data[1] != keyedVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrWireInvalid, data[1])
+		return Decoded{}, fmt.Errorf("%w: unsupported version %d", ErrWireInvalid, data[1])
 	}
 	nameLen := int(data[2])
 	if nameLen == 0 {
-		return nil, fmt.Errorf("%w: empty engine name", ErrWireInvalid)
+		return Decoded{}, fmt.Errorf("%w: empty engine name", ErrWireInvalid)
 	}
 	if len(data) < 3+nameLen {
-		return nil, ErrWireTruncated
+		return Decoded{}, ErrWireTruncated
 	}
 	if name := data[3 : 3+nameLen]; string(name) != core.EngineDense {
-		return nil, fmt.Errorf("%w: engine %q, want %q", ErrWireInvalid, name, core.EngineDense)
+		return Decoded{}, fmt.Errorf("%w: engine %q, want %q", ErrWireInvalid, name, core.EngineDense)
 	}
 	rest := data[3+nameLen:]
 	count, n := binary.Uvarint(rest)
 	if n == 0 {
-		return nil, ErrWireTruncated
+		return Decoded{}, ErrWireTruncated
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("%w: entry count varint overflows uint64", ErrWireInvalid)
+		return Decoded{}, fmt.Errorf("%w: entry count varint overflows uint64", ErrWireInvalid)
 	}
 	rest = rest[n:]
 	// The smallest possible entry is 4 bytes (keyLen=1 varint, 1 key
@@ -178,45 +189,45 @@ func (s *Store) decodeEnvelope(data []byte) (entries []wireEntry, err error) {
 	// could hold is hostile, and rejecting it here bounds the entries
 	// allocation by O(len(data)).
 	if count > uint64(len(rest))/4+1 {
-		return nil, fmt.Errorf("%w: %d entries claimed but only %d bytes follow", ErrWireTruncated, count, len(rest))
+		return Decoded{}, fmt.Errorf("%w: %d entries claimed but only %d bytes follow", ErrWireTruncated, count, len(rest))
 	}
 	// On an error below, the accumulators already taken from the pool
 	// are left to the collector: a malformed envelope is rare, and the
 	// failing one may hold a partial of a foreign width.
-	entries = make([]wireEntry, 0, count)
+	entries := make([]wireEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		keyLen, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, badVarint(n, "key length")
+			return Decoded{}, badVarint(n, "key length")
 		}
 		rest = rest[n:]
 		if keyLen == 0 || keyLen > MaxKeyLen {
-			return nil, fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, keyLen, MaxKeyLen)
+			return Decoded{}, fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, keyLen, MaxKeyLen)
 		}
 		if uint64(len(rest)) < keyLen {
-			return nil, ErrWireTruncated
+			return Decoded{}, ErrWireTruncated
 		}
 		key := rest[:keyLen]
 		rest = rest[keyLen:]
 		payLen, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, badVarint(n, "payload length")
+			return Decoded{}, badVarint(n, "payload length")
 		}
 		rest = rest[n:]
 		if uint64(len(rest)) < payLen {
-			return nil, ErrWireTruncated
+			return Decoded{}, ErrWireTruncated
 		}
 		acc := s.reusable()
 		if err := core.DecodeDenseInto(acc, rest[:payLen]); err != nil {
-			return nil, fmt.Errorf("keyed: entry %q: %w", key, err)
+			return Decoded{}, fmt.Errorf("keyed: entry %q: %w", key, err)
 		}
 		rest = rest[payLen:]
 		entries = append(entries, wireEntry{key: key, part: partIndex(key, len(s.parts)), acc: acc})
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireInvalid, len(rest))
+		return Decoded{}, fmt.Errorf("%w: %d trailing bytes", ErrWireInvalid, len(rest))
 	}
-	return entries, nil
+	return Decoded{entries}, nil
 }
 
 func badVarint(n int, what string) error {
@@ -226,30 +237,63 @@ func badVarint(n int, what string) error {
 	return fmt.Errorf("%w: %s varint overflows uint64", ErrWireInvalid, what)
 }
 
+// DecodePartials decodes and validates a set of per-key engine envelopes
+// (the decode half of MergeKeyPartials), including key bounds and the
+// dense engine tag.
+func (s *Store) DecodePartials(ps []KeyPartial) (Decoded, error) {
+	entries := make([]wireEntry, 0, len(ps))
+	for _, kp := range ps {
+		if kp.Key == "" || len(kp.Key) > MaxKeyLen {
+			return Decoded{}, fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, len(kp.Key), MaxKeyLen)
+		}
+		acc, err := core.UnmarshalDensePartial(kp.Blob)
+		if err != nil {
+			return Decoded{}, fmt.Errorf("keyed: entry %q: %w", kp.Key, err)
+		}
+		key := []byte(kp.Key)
+		entries = append(entries, wireEntry{key: key, part: partIndex(key, len(s.parts)), acc: acc})
+	}
+	return Decoded{entries}, nil
+}
+
 // ImportMerge decodes a keyed envelope, folds every entry into the store
 // (creating missing keys), and returns how many entries it merged — the
-// reducer half of the keyed exchange. Like Sharded.MergeBytes it returns
-// errors rather than panicking: the payload is remote input. The entire
-// envelope is decoded and validated before any partition is touched, so
-// a malformed blob leaves the store bit-for-bit unchanged. Merging is
-// exact and commutative; importing the same set of exported partials in
-// any order converges every key to bit-identical sums (the CRDT property
-// — entries for the same key, within or across envelopes, simply add).
+// reducer half of the keyed exchange. The entire envelope is decoded and
+// validated before any partition is touched, so a malformed blob leaves
+// the store bit-for-bit unchanged. Merging is exact and commutative;
+// importing the same set of exported partials in any order converges
+// every key to bit-identical sums (the CRDT property — entries for the
+// same key, within or across envelopes, simply add).
 func (s *Store) ImportMerge(data []byte) (int, error) {
-	entries, err := s.decodeEnvelope(data)
+	d, err := s.DecodeEnvelope(data)
 	if err != nil {
 		return 0, err
 	}
-	s.mergeEntries(entries)
-	return len(entries), nil
+	s.MergeDecoded(d)
+	return d.Len(), nil
 }
 
-// mergeEntries folds fully validated entries in, one partition-lock
-// acquisition per touched partition (entries are sorted by partition
-// in place). An entry whose key is new is installed as that key's
+// MergeKeyPartials folds a set of per-key engine envelopes in — the push
+// half of the JSON keyed exchange. Every entry is decoded and validated
+// before any partition is touched, preserving the
+// malformed-input-leaves-state-unchanged contract of ImportMerge.
+func (s *Store) MergeKeyPartials(ps []KeyPartial) error {
+	d, err := s.DecodePartials(ps)
+	if err != nil {
+		return err
+	}
+	s.MergeDecoded(d)
+	return nil
+}
+
+// MergeDecoded folds a decoded payload in, one partition-lock
+// acquisition per touched partition (entries are sorted by partition in
+// place). An entry whose key is new is installed as that key's
 // accumulator; one whose key exists is merged and its accumulator
-// recycled.
-func (s *Store) mergeEntries(entries []wireEntry) {
+// recycled. d must come from this store's Decode methods and be merged
+// at most once.
+func (s *Store) MergeDecoded(d Decoded) {
+	entries := d.entries
 	slices.SortFunc(entries, func(a, b wireEntry) int { return a.part - b.part })
 	for i := 0; i < len(entries); {
 		pi := entries[i].part
@@ -292,26 +336,4 @@ func (s *Store) ExportPartials(lo, hi string) ([]KeyPartial, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// MergeKeyPartials folds a set of per-key engine envelopes in — the push
-// half of the JSON keyed exchange. Every entry is decoded and validated
-// (including key bounds and the dense engine tag) before any partition
-// is touched, preserving the malformed-input-leaves-state-unchanged
-// contract of ImportMerge.
-func (s *Store) MergeKeyPartials(ps []KeyPartial) error {
-	entries := make([]wireEntry, 0, len(ps))
-	for _, kp := range ps {
-		if kp.Key == "" || len(kp.Key) > MaxKeyLen {
-			return fmt.Errorf("%w: key length %d outside [1,%d]", ErrWireInvalid, len(kp.Key), MaxKeyLen)
-		}
-		acc, err := core.UnmarshalDensePartial(kp.Blob)
-		if err != nil {
-			return fmt.Errorf("keyed: entry %q: %w", kp.Key, err)
-		}
-		key := []byte(kp.Key)
-		entries = append(entries, wireEntry{key: key, part: partIndex(key, len(s.parts)), acc: acc})
-	}
-	s.mergeEntries(entries)
-	return nil
 }

@@ -152,9 +152,8 @@ type backendConn struct {
 	c  *sumdclient.Client
 	br *sumdclient.Breaker
 
-	mu      sync.Mutex
-	hints   []hint // FIFO; bounded by Options.HintCap
-	dropped int64
+	mu    sync.Mutex
+	hints []hint // FIFO; bounded by Options.HintCap
 }
 
 // hint is one failed-but-acked replica leg: the envelope and the token
@@ -672,7 +671,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("sumproxy_hints_pending", "Hinted-handoff envelopes awaiting replay.", float64(pending))
 	pw.Counter("sumproxy_hints_queued_total", "Hints queued for failed legs of acked writes.", float64(c.hintsQueued))
 	pw.Counter("sumproxy_hints_replayed_total", "Hints delivered to their backend.", float64(c.hintsPlayed))
-	pw.Counter("sumproxy_hints_dropped_total", "Hints dropped at the queue cap (repair is the backstop).", float64(c.hintsDropped))
+	pw.Counter("sumproxy_hints_dropped_total", "Hints dropped at the queue cap or refused by their backend for good (repair is the backstop).", float64(c.hintsDropped))
 	pw.Counter("sumproxy_repair_rounds_total", "Anti-entropy rounds completed.", float64(c.repairRounds))
 	pw.Counter("sumproxy_repair_keys_total", "Keys examined by repair.", float64(c.repairKeys))
 	pw.Counter("sumproxy_repair_diffs_total", "Correction partials pushed by repair.", float64(c.repairDiffs))

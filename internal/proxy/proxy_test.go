@@ -422,11 +422,13 @@ func TestRepairRestoresWipedReplica(t *testing.T) {
 	}
 }
 
-// tokenRefuser fails every request carrying an Idempotency-Key — write
+// tokenRefuser refuses every request carrying an Idempotency-Key — write
 // legs and hint replays — while refuse is set, and forwards the rest
-// (state pulls, repair diffs) to next.
+// (state pulls, repair diffs) to next. It fails the request outright,
+// or answers it with status when that is set.
 type tokenRefuser struct {
 	refuse atomic.Bool
+	status int
 	next   http.RoundTripper
 }
 
@@ -435,7 +437,15 @@ func (tr *tokenRefuser) RoundTrip(r *http.Request) (*http.Response, error) {
 		if r.Body != nil {
 			r.Body.Close()
 		}
-		return nil, errors.New("tokened request refused")
+		if tr.status == 0 {
+			return nil, errors.New("tokened request refused")
+		}
+		return &http.Response{
+			StatusCode: tr.status,
+			Header:     http.Header{"Content-Type": {"application/json"}},
+			Body:       io.NopCloser(strings.NewReader(`{"error":"tokened request refused"}`)),
+			Request:    r,
+		}, nil
 	}
 	return tr.next.RoundTrip(r)
 }
@@ -489,6 +499,55 @@ func TestRepairSkipsBackendWithPendingHints(t *testing.T) {
 		}
 		if got := math.Float64bits(v); got != want {
 			t.Errorf("%s: bits %016x, want %016x", name, got, want)
+		}
+	}
+}
+
+// A hint its backend refuses for good — a 413 from a backend with a
+// lower body cap — is dropped and counted instead of retried forever,
+// so repair reaches that backend and reconverges the key.
+func TestRepairDropsHintRefusedForGood(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	down := f.names[2]
+	tr := &tokenRefuser{status: http.StatusRequestEntityTooLarge, next: f.injectors[down]}
+	tr.refuse.Store(true)
+	p, hs := newProxy(t, f, func(o *proxy.Options) {
+		o.Transport = func(b string) http.RoundTripper {
+			if b == down {
+				return tr
+			}
+			return f.injectors[b]
+		}
+	})
+
+	xs := []float64{0.1, 0.2, 0.7}
+	want := math.Float64bits(parsum.Sum(xs))
+	resp := postAdd(t, hs.URL, "h", xs, "")
+	if body := drain(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"hinted":1`) {
+		t.Fatalf("add: %d %s (want acked with one hint)", resp.StatusCode, body)
+	}
+
+	stats := p.RepairNow(context.Background())
+	if len(stats.Unreachable) != 0 || stats.Diffs != 1 || stats.HintsFlushed != 0 {
+		t.Fatalf("repair with a refused hint on %s: %+v (want it reached, one diff, no hint delivered)", down, stats)
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(context.Background(), "h")
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%t err=%v", name, ok, err)
+		}
+		if got := math.Float64bits(v); got != want {
+			t.Errorf("%s: bits %016x, want %016x", name, got, want)
+		}
+	}
+	rr, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := drain(t, rr)
+	for _, line := range []string{"sumproxy_hints_dropped_total 1", "sumproxy_hints_pending 0", "sumproxy_hints_replayed_total 0"} {
+		if !strings.Contains(body, line) {
+			t.Errorf("metrics missing %q", line)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package proxy
 import (
 	"context"
 	"math"
+	"net/http"
 	"time"
 
 	"parsum/internal/accum"
@@ -26,7 +27,6 @@ func (p *Proxy) enqueueHint(conn *backendConn, token string, blob []byte) {
 	conn.mu.Lock()
 	if len(conn.hints) >= p.hintCap {
 		conn.hints = conn.hints[1:]
-		conn.dropped++
 		dropped = true
 	}
 	conn.hints = append(conn.hints, hint{token: token, blob: blob})
@@ -39,11 +39,21 @@ func (p *Proxy) enqueueHint(conn *backendConn, token string, blob []byte) {
 	p.mu.Unlock()
 }
 
+// refusedForGood reports whether a backend answered a push with a 4xx
+// that no redelivery of the same bytes can change — anything but 408
+// and 429, say a 413 from a backend with a lower body cap.
+func refusedForGood(err error) bool {
+	st := sumdclient.ErrorStatus(err)
+	return st >= 400 && st < 500 && st != http.StatusRequestTimeout && st != http.StatusTooManyRequests
+}
+
 // replayConn delivers conn's queued hints in order, stopping at the
-// first failure (the backend is still down — keep the rest for the
-// next round). Caller holds p.cut (shared or exclusive).
+// first failure that may pass (the backend is down or overloaded — keep
+// the rest for the next round). A hint the backend refuses for good is
+// dropped and counted, and repair reconverges what it carried. Caller
+// holds p.cut (shared or exclusive).
 func (p *Proxy) replayConn(ctx context.Context, conn *backendConn) int {
-	played := 0
+	played, dropped := 0, 0
 	for {
 		conn.mu.Lock()
 		if len(conn.hints) == 0 {
@@ -54,18 +64,24 @@ func (p *Proxy) replayConn(ctx context.Context, conn *backendConn) int {
 		conn.mu.Unlock()
 		// The push rides the hint's original token, so a hint racing a
 		// client retry of the same write deduplicates on the backend.
-		if _, err := conn.c.PushKeyedIdem(ctx, h.token, h.blob); err != nil {
+		_, err := conn.c.PushKeyedIdem(ctx, h.token, h.blob)
+		if err != nil && !refusedForGood(err) {
 			break
 		}
 		conn.mu.Lock()
 		// The queue only grows at the tail; head slot 0 is still h.
 		conn.hints = conn.hints[1:]
 		conn.mu.Unlock()
-		played++
+		if err != nil {
+			dropped++
+		} else {
+			played++
+		}
 	}
-	if played > 0 {
+	if played > 0 || dropped > 0 {
 		p.mu.Lock()
 		p.c.hintsPlayed += int64(played)
+		p.c.hintsDropped += int64(dropped)
 		p.mu.Unlock()
 	}
 	return played

@@ -329,10 +329,17 @@ func (s *Sharded) MergeBytes(data []byte) error {
 	if err != nil {
 		return err
 	}
+	s.MergeDense(acc)
+	return nil
+}
+
+// MergeDense folds an already-decoded partial into s: the apply half of
+// MergeBytes, for a caller that validates a payload before it commits to
+// applying it. acc is unchanged.
+func (s *Sharded) MergeDense(acc *accum.Dense) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.base.Merge(acc)
-	return nil
 }
 
 // mergeMu serializes cross-instance merges so concurrent a.Merge(b) and

@@ -74,33 +74,45 @@ func shaveTail(state map[string][]byte, n int) bool {
 	return true
 }
 
-// crashOp is one acked mutation plus the oracle bits after it.
+// crashOp is one acked mutation plus the oracle bits after it: wantKeys
+// lists every key that must exist, so a key missing from it must not.
 type crashOp struct {
 	wantSum  uint64            // global sum bits after this op
 	wantKeys map[string]uint64 // per-key sum bits after this op
 }
 
+// crashRow names which mutations a TestCrashRecoveryMatrix row drives.
+type crashRow int
+
+const (
+	plainRow crashRow = iota // raw adds and subs
+	keyedRow                 // raw keyed adds
+	mixedRow                 // raw adds, partial and keyed pushes, one reset
+)
+
 func TestCrashRecoveryMatrix(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 240, Delta: 60, Seed: 401}).Slice()
-	chunks := splitSlices(xs, 8)
 	keys := []string{"alpha", "beta", "gamma"}
 
 	for _, tc := range []struct {
-		name  string
-		keyed bool
+		name   string
+		row    crashRow
+		chunks int
 	}{
-		{"async-plain", false},
-		{"async-keyed", true},
+		{"async-plain", plainRow, 8},
+		{"async-keyed", keyedRow, 8},
+		{"mixed", mixedRow, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			keyed := tc.row != plainRow
 			opt := sumdsrv.Options{
 				Shards:   2,
 				QueueLen: 16,
 				WALDir:   dir,
 				WALFsync: "off",
 			}
-			if tc.keyed {
+			if keyed {
 				opt.KeyPartitions = 2
 			}
 			c, _ := startService(t, opt)
@@ -108,37 +120,68 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 			// Drive the acked sequence, capturing the WAL bytes and the
 			// oracle after every ack. Plain cells alternate add/sub so
-			// retraction frames are replayed too; keyed cells rotate keys.
-			oracle, err := parsum.NewAccumulatorEngine("dense")
-			if err != nil {
-				t.Fatal(err)
-			}
+			// retraction frames are replayed too; keyed cells rotate keys;
+			// mixed cells rotate through every journaled record shape and
+			// reset once midway.
+			oracle := denseAcc(t)
 			keyOracle := map[string]*parsum.Accumulator{}
+			keyAcc := func(key string) *parsum.Accumulator {
+				if keyOracle[key] == nil {
+					keyOracle[key] = denseAcc(t)
+				}
+				return keyOracle[key]
+			}
 			var states []map[string][]byte
 			var ops []crashOp
-			for i, chunk := range chunks {
-				if tc.keyed {
-					key := keys[i%len(keys)]
+			for i, chunk := range splitSlices(xs, tc.chunks) {
+				key := keys[i%len(keys)]
+				switch {
+				case tc.row == keyedRow:
 					if err := c.AddKeyed(ctx, key, chunk); err != nil {
 						t.Fatal(err)
 					}
-					if keyOracle[key] == nil {
-						keyOracle[key], _ = parsum.NewAccumulatorEngine("dense")
-					}
-					keyOracle[key].AddSlice(chunk)
-				} else if i%3 == 2 {
+					keyAcc(key).AddSlice(chunk)
+				case tc.row == plainRow && i%3 == 2:
 					if err := c.SubBatch(ctx, chunk); err != nil {
 						t.Fatal(err)
 					}
 					oracle.SubSlice(chunk)
-				} else {
+				case tc.row == plainRow:
 					if err := c.AddBatch(ctx, chunk); err != nil {
 						t.Fatal(err)
 					}
 					oracle.AddSlice(chunk)
+				case i == tc.chunks/2:
+					if err := c.Reset(ctx); err != nil {
+						t.Fatal(err)
+					}
+					oracle = denseAcc(t)
+					keyOracle = map[string]*parsum.Accumulator{}
+				case i%4 == 0:
+					if err := c.AddBatch(ctx, chunk); err != nil {
+						t.Fatal(err)
+					}
+					oracle.AddSlice(chunk)
+				case i%4 == 1:
+					if err := c.PushPartial(ctx, densePartial(t, chunk)); err != nil {
+						t.Fatal(err)
+					}
+					oracle.AddSlice(chunk)
+				case i%4 == 2:
+					envelope, _ := keyedPayloads(t, key, chunk)
+					if _, err := c.PushKeyedIdem(ctx, sumdclient.NewIdemToken(), envelope); err != nil {
+						t.Fatal(err)
+					}
+					keyAcc(key).AddSlice(chunk)
+				default:
+					_, ps := keyedPayloads(t, key, chunk)
+					if _, err := c.PushKeyedPartials(ctx, ps); err != nil {
+						t.Fatal(err)
+					}
+					keyAcc(key).AddSlice(chunk)
 				}
 				op := crashOp{wantSum: math.Float64bits(oracle.Round())}
-				if tc.keyed {
+				if keyed {
 					op.wantKeys = map[string]uint64{}
 					for k, acc := range keyOracle {
 						op.wantKeys[k] = math.Float64bits(acc.Round())
@@ -151,7 +194,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			// Kill at every frame boundary: the state captured after ack i
 			// must recover to exactly the prefix ops[0..i].
 			for i, state := range states {
-				verifyRecovered(t, restoreWAL(t, state), tc.keyed, ops[i], false)
+				verifyRecovered(t, restoreWAL(t, state), keyed, ops[i], false)
 			}
 
 			// Kill mid-frame: shaving 3 bytes off the newest segment tears
@@ -166,10 +209,19 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				if !shaveTail(st, 3) {
 					t.Fatalf("op %d: no segment bytes to shave", i)
 				}
-				verifyRecovered(t, restoreWAL(t, st), tc.keyed, ops[i-1], true)
+				verifyRecovered(t, restoreWAL(t, st), keyed, ops[i-1], true)
 			}
 		})
 	}
+}
+
+func denseAcc(t *testing.T) *parsum.Accumulator {
+	t.Helper()
+	acc, err := parsum.NewAccumulatorEngine("dense")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
 }
 
 // verifyRecovered opens a fresh server on the recovered WAL directory
@@ -198,6 +250,15 @@ func verifyRecovered(t *testing.T, dir string, keyed bool, want crashOp, torn bo
 	}
 	if math.Float64bits(got) != want.wantSum {
 		t.Errorf("recovered sum %x, want %x", math.Float64bits(got), want.wantSum)
+	}
+	if keyed {
+		keys, err := c.Keys(ctx, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != len(want.wantKeys) {
+			t.Errorf("recovered keys %q, want %d keys", keys, len(want.wantKeys))
+		}
 	}
 	for key, bits := range want.wantKeys {
 		kv, ok, err := c.SumKey(ctx, key)

@@ -98,70 +98,39 @@ func (s *Server) handleGetKeyed(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePushKeyed merges remote keyed state — the push half of the keyed
-// exchange. Both body forms validate the entire payload before touching
-// any key, so a rejected push leaves the store bit-for-bit unchanged —
-// which is also why the journal records the body only after the merge
-// accepted it (apply-then-journal, like /v1/partial). An Idempotency-Key
-// header deduplicates retried pushes through the token window.
+// exchange. Both body forms decode and validate the entire payload before
+// it is journaled, so a rejected push leaves the store bit-for-bit
+// unchanged and never reaches the log. An Idempotency-Key header
+// deduplicates retried pushes through the token window.
 func (s *Server) handlePushKeyed(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	tok, ok := s.reserveIdem(w, r.Header.Get("Idempotency-Key"))
+	rec := wal.Record{Type: wal.RecKeyedJSON, Blob: body}
+	if mediaType(r) == "application/octet-stream" {
+		rec.Type = wal.RecKeyedEnvelope
+	}
+	merged, ok := s.push(w, r, rec)
 	if !ok {
 		return
 	}
-	var merged int
-	var jerr error
-	if mediaType(r) == "application/octet-stream" {
-		s.applyMu.RLock()
-		n, err := s.keyed.ImportMerge(body)
-		if err == nil {
-			jerr = s.journalBlob(wal.RecKeyedEnvelope, tok, body)
-		}
-		s.applyMu.RUnlock()
-		if err != nil {
-			s.releaseIdem(tok)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		merged = n
-	} else {
-		var req KeyedPartialsRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.releaseIdem(tok)
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding keyed partials: %w", err))
-			return
-		}
-		if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-			s.releaseIdem(tok)
-			writeError(w, http.StatusBadRequest, errors.New("trailing data after keyed partials"))
-			return
-		}
-		s.applyMu.RLock()
-		err := s.keyed.MergeKeyPartials(req.Partials)
-		if err == nil {
-			jerr = s.journalBlob(wal.RecKeyedJSON, tok, body)
-		}
-		s.applyMu.RUnlock()
-		if err != nil {
-			s.releaseIdem(tok)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		merged = len(req.Partials)
-	}
-	if jerr != nil {
-		// Applied but not durable; the token stays reserved so a retry is
-		// a no-op (see handlePushPartial).
-		writeError(w, http.StatusInternalServerError, jerr)
-		return
-	}
 	s.st.addKeyedPartials(merged)
-	s.noteMutations(1)
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusOK, mergedResponse{Merged: merged})
+}
+
+// decodeKeyedJSON decodes a JSON keyed push body strictly: no unknown
+// fields, nothing after the document.
+func (s *Server) decodeKeyedJSON(body []byte) (keyed.Decoded, error) {
+	var req KeyedPartialsRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return keyed.Decoded{}, fmt.Errorf("decoding keyed partials: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return keyed.Decoded{}, errors.New("trailing data after keyed partials")
+	}
+	return s.keyed.DecodePartials(req.Partials)
 }

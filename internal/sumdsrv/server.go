@@ -231,7 +231,7 @@ type Server struct {
 
 	// Durability (nil / zero when Options.WALDir is empty). applyMu is
 	// held shared around every journal+apply pair and exclusively by
-	// reset and snapshot capture; see internal/sumdsrv/wal.go.
+	// reset and snapshot capture; see journalThenApply.
 	wal       *wal.Log
 	applyMu   sync.RWMutex
 	walSince  atomic.Int64 // mutations journaled since the last snapshot
@@ -662,33 +662,10 @@ func (s *Server) handlePushPartial(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tok, ok := s.reserveIdem(w, r.Header.Get("Idempotency-Key"))
-	if !ok {
-		return
-	}
-	// Apply-then-journal: MergeBytes validates the whole blob before
-	// touching state, so only accepted partials reach the log.
-	s.applyMu.RLock()
-	err := s.sh.MergeBytes(blob)
-	var jerr error
-	if err == nil {
-		jerr = s.journalBlob(wal.RecPartial, tok, blob)
-	}
-	s.applyMu.RUnlock()
-	if err != nil {
-		s.releaseIdem(tok)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if jerr != nil {
-		// Applied but not durable: the token stays reserved so a retry
-		// does not double-apply, and the failure is on the WAL error
-		// ledger.
-		writeError(w, http.StatusInternalServerError, jerr)
+	if _, ok := s.push(w, r, wal.Record{Type: wal.RecPartial, Blob: blob}); !ok {
 		return
 	}
 	s.st.bump(&s.st.partials)
-	s.noteMutations(1)
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusOK, mergedResponse{Merged: 1})
 }
@@ -738,23 +715,17 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	// Exclusive: a reset must not interleave with a journal+apply pair,
 	// or replay could order the wipe differently than the live process
-	// did. The reset record itself is journaled so recovery wipes state
+	// did. The reset record is journaled first, so recovery wipes state
 	// at the same point in the history. The idempotency window survives
 	// (see tokenWindow); so do the stats counters (monotone ledger).
+	rec := wal.Record{Type: wal.RecReset}
 	s.applyMu.Lock()
-	s.sh.Reset()
-	s.keyed.Reset()
-	var jerr error
-	if s.wal != nil {
-		s.wal.AppendReset()
-		jerr = s.wal.Commit()
-	}
+	_, err := s.journalThenApply("", []wal.Record{rec}, func() { _ = s.applyRecord(rec) })
 	s.applyMu.Unlock()
-	if jerr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("reset applied but journal commit failed: %w", jerr))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.noteMutations(1)
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusOK, struct {
 		Reset bool `json:"reset"`

@@ -2,22 +2,17 @@ package sumdsrv
 
 // Durability wiring: the glue between the HTTP surface and internal/wal.
 //
-// Every state-mutating request is journaled and committed before its 200
-// is written, so "acknowledged" implies "recoverable". The two kinds of
-// mutation meet the journal in opposite orders:
-//
-//   - Raw value batches (/v1/add, /v1/sub) cannot fail validation once
-//     decoded, so the batcher's flush callback journals each flush group
-//     in one commit — the group commit doubles as a group fsync — and
-//     applies the group only if that commit succeeded. A failed commit
-//     leaves nothing in the log and nothing applied, so live state and
-//     replay agree.
-//   - Partial/envelope pushes validate inside the accumulator merge, so
-//     they apply first (keeping garbage out of the log) and journal the
-//     already-accepted blob second.
-//
-// Both orders preserve the contract: an acknowledged mutation is in the
-// log; an unacknowledged one may land on either side of a crash.
+// Every mutation takes one path, journalThenApply: decoded and validated
+// first, it is journaled and committed, and applied only if the commit
+// succeeded. Raw value batches (/v1/add, /v1/sub) arrive there from the
+// batcher's flush callback, one commit per flush group (the group commit
+// doubles as a group fsync); a partial or keyed push (/v1/partial,
+// /v1/keyed/partial) arrives from its handler as one record; a reset
+// arrives from its handler under applyMu held exclusively. A failed
+// commit leaves nothing in the log and nothing applied, and the request
+// is answered 500: live state and replay agree, and a 500 always means
+// nothing happened. An acknowledged mutation is in the log; an
+// unacknowledged one may land on either side of a crash.
 //
 // applyMu serializes mutations against whole-state captures: every
 // journal+apply pair holds it shared, while reset and snapshot capture
@@ -26,12 +21,12 @@ package sumdsrv
 // everything after replays on top.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"parsum/internal/batch"
+	"parsum/internal/core"
 	"parsum/internal/keyed"
 	"parsum/internal/wal"
 )
@@ -44,11 +39,14 @@ const maxIdemToken = 256
 // tokenWindow is the bounded idempotency-dedup window: the most recent
 // cap tokens from acknowledged partial pushes. A retried push whose
 // token is still in the window is answered 200 without re-merging, so a
-// client that lost a response cannot double-apply a partial. Tokens ride
-// the journal and snapshots, so the window survives recovery, and they
-// deliberately survive /v1/reset: a pre-reset push retried after the
-// reset must not re-apply state the reset wiped.
+// client that lost a response cannot double-apply a partial. Only a
+// push whose commit succeeded enters the window. Tokens ride the journal
+// and snapshots, so the window survives recovery, and they deliberately
+// survive /v1/reset: a pre-reset push retried after the reset must not
+// re-apply state the reset wiped. A nil window dedups nothing.
 type tokenWindow struct {
+	// mu is held across a tokened push's check, journal, apply and
+	// insert, so two concurrent pushes of one token apply it once.
 	mu   sync.Mutex
 	cap  int
 	set  map[string]struct{}
@@ -59,13 +57,11 @@ func newTokenWindow(capacity int) *tokenWindow {
 	return &tokenWindow{cap: capacity, set: make(map[string]struct{}, capacity)}
 }
 
-// reserve claims tok, evicting the oldest entry when full. It reports
-// false when tok is already in the window (a duplicate).
-func (t *tokenWindow) reserve(tok string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// addLocked inserts tok, evicting the oldest entry when full; a token
+// already present stays where it is. Caller holds t.mu.
+func (t *tokenWindow) addLocked(tok string) {
 	if _, dup := t.set[tok]; dup {
-		return false
+		return
 	}
 	if len(t.fifo) >= t.cap {
 		old := t.fifo[0]
@@ -74,29 +70,14 @@ func (t *tokenWindow) reserve(tok string) bool {
 	}
 	t.set[tok] = struct{}{}
 	t.fifo = append(t.fifo, tok)
-	return true
-}
-
-// release drops a reservation made for a push that then failed, so a
-// corrected retry with the same token is not treated as a duplicate.
-func (t *tokenWindow) release(tok string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.set[tok]; !ok {
-		return
-	}
-	delete(t.set, tok)
-	for i := len(t.fifo) - 1; i >= 0; i-- { // newest first: releases undo fresh reservations
-		if t.fifo[i] == tok {
-			t.fifo = append(t.fifo[:i], t.fifo[i+1:]...)
-			break
-		}
-	}
 }
 
 // snapshot copies the window, oldest first, for inclusion in a WAL
 // snapshot.
 func (t *tokenWindow) snapshot() []string {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]string, len(t.fifo))
@@ -104,10 +85,15 @@ func (t *tokenWindow) snapshot() []string {
 	return out
 }
 
-// load seeds the window from a recovered snapshot (oldest first).
-func (t *tokenWindow) load(toks []string) {
+// load adds recovered tokens, oldest first.
+func (t *tokenWindow) load(toks ...string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, tok := range toks {
-		t.reserve(tok)
+		t.addLocked(tok)
 	}
 }
 
@@ -146,45 +132,64 @@ type mergedResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// reserveIdem claims the request's Idempotency-Key token. ok=false means
-// the response has already been written — either a 400 (over-long token)
-// or the duplicate short-circuit. The empty token means "no idempotency
-// requested" and is never deduplicated.
-func (s *Server) reserveIdem(w http.ResponseWriter, tok string) (string, bool) {
-	if tok == "" {
-		return "", true
+// journalThenApply is the one path by which a mutation reaches the
+// journal and the state: it journals recs in one commit and runs apply
+// only if the commit succeeded, so an error leaves both the log and the
+// state untouched. A push's idempotency token (tok, "" for none) is
+// checked and, once the push is applied, inserted in the same critical
+// section: a duplicate (dup true) journals and applies nothing, and a
+// push whose commit fails never enters the window. Callers hold applyMu
+// — shared for ingest and pushes, exclusively for a reset.
+func (s *Server) journalThenApply(tok string, recs []wal.Record, apply func()) (dup bool, err error) {
+	idem := tok != "" && s.tokens != nil
+	if idem {
+		s.tokens.mu.Lock()
+		defer s.tokens.mu.Unlock()
+		if _, dup := s.tokens.set[tok]; dup {
+			return true, nil
+		}
 	}
-	if len(tok) > maxIdemToken {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("idempotency token length %d exceeds limit %d", len(tok), maxIdemToken))
-		return "", false
+	if s.wal != nil {
+		if err := s.wal.Journal(recs...); err != nil {
+			return false, fmt.Errorf("journal commit failed, nothing applied: %w", err)
+		}
 	}
-	if s.tokens != nil && !s.tokens.reserve(tok) {
+	apply()
+	if idem {
+		s.tokens.addLocked(tok)
+	}
+	s.noteMutations(int64(len(recs)))
+	return false, nil
+}
+
+// push serves one partial or keyed push whose body is rec's blob: it
+// checks the Idempotency-Key, decodes and validates the whole body, then
+// journals and applies it. It returns how many partials it merged, or
+// false after writing the 400, duplicate or 500 reply itself.
+func (s *Server) push(w http.ResponseWriter, r *http.Request, rec wal.Record) (int, bool) {
+	rec.Token = r.Header.Get("Idempotency-Key")
+	if len(rec.Token) > maxIdemToken {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("idempotency token length %d exceeds limit %d", len(rec.Token), maxIdemToken))
+		return 0, false
+	}
+	apply, n, err := s.prepare(rec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return 0, false
+	}
+	s.applyMu.RLock()
+	dup, err := s.journalThenApply(rec.Token, []wal.Record{rec}, apply)
+	s.applyMu.RUnlock()
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
+		return 0, false
+	case dup:
 		s.st.bump(&s.st.deduped)
 		writeJSON(w, http.StatusOK, mergedResponse{Merged: 0, Duplicate: true})
-		return "", false
+		return 0, false
 	}
-	return tok, true
-}
-
-// releaseIdem undoes a reservation after the push it covered failed.
-func (s *Server) releaseIdem(tok string) {
-	if tok != "" && s.tokens != nil {
-		s.tokens.release(tok)
-	}
-}
-
-// journalBlob appends one already-applied blob record and commits. The
-// caller holds applyMu (shared). A nil error means the record is durable
-// per the fsync policy.
-func (s *Server) journalBlob(t wal.Type, tok string, blob []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	s.wal.AppendBlob(t, tok, blob)
-	if err := s.wal.Commit(); err != nil {
-		return fmt.Errorf("merged but journal commit failed: %w", err)
-	}
-	return nil
+	return n, true
 }
 
 // noteMutations advances the snapshot trigger counter.
@@ -243,11 +248,7 @@ func (s *Server) captureState() (*wal.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &wal.Snapshot{Global: global, Keyed: keyedBlob}
-	if s.tokens != nil {
-		snap.Tokens = s.tokens.snapshot()
-	}
-	return snap, nil
+	return &wal.Snapshot{Global: global, Keyed: keyedBlob, Tokens: s.tokens.snapshot()}, nil
 }
 
 // recover seeds the server from what wal.Open reconstructed: snapshot
@@ -268,9 +269,7 @@ func (s *Server) recover(rec *wal.Recovered) error {
 				return fmt.Errorf("sumd: wal snapshot keyed state: %w", err)
 			}
 		}
-		if s.tokens != nil {
-			s.tokens.load(snap.Tokens)
-		}
+		s.tokens.load(snap.Tokens...)
 	}
 	for i, r := range rec.Records {
 		if err := s.applyRecord(r); err != nil {
@@ -287,7 +286,9 @@ func (s *Server) recover(rec *wal.Recovered) error {
 	return nil
 }
 
-// applyRecord replays one journaled mutation during recovery.
+// applyRecord applies one journaled mutation, its token included —
+// the code recovery replays the journal with and the flush applies a
+// group with. Value records have nothing to decode and apply directly.
 func (s *Server) applyRecord(r wal.Record) error {
 	switch r.Type {
 	case wal.RecAdd:
@@ -303,38 +304,48 @@ func (s *Server) applyRecord(r wal.Record) error {
 		} else {
 			s.keyed.Add(r.Key, r.Values)
 		}
-	case wal.RecPartial:
-		if err := s.sh.MergeBytes(r.Blob); err != nil {
-			return err
-		}
-		s.reserveReplayed(r.Token)
-	case wal.RecKeyedEnvelope:
-		if _, err := s.keyed.ImportMerge(r.Blob); err != nil {
-			return err
-		}
-		s.reserveReplayed(r.Token)
-	case wal.RecKeyedJSON:
-		var req KeyedPartialsRequest
-		if err := json.Unmarshal(r.Blob, &req); err != nil {
-			return err
-		}
-		if err := s.keyed.MergeKeyPartials(req.Partials); err != nil {
-			return err
-		}
-		s.reserveReplayed(r.Token)
-	case wal.RecReset:
-		s.sh.Reset()
-		s.keyed.Reset()
 	default:
-		return fmt.Errorf("unknown record type %d", r.Type)
+		apply, _, err := s.prepare(r)
+		if err != nil {
+			return err
+		}
+		apply()
+		if r.Token != "" {
+			s.tokens.load(r.Token)
+		}
 	}
 	return nil
 }
 
-func (s *Server) reserveReplayed(tok string) {
-	if tok != "" && s.tokens != nil {
-		s.tokens.reserve(tok)
+// prepare decodes and validates a blob or reset record without touching
+// state and returns the function that applies it, with the number of
+// partials it carries.
+func (s *Server) prepare(r wal.Record) (apply func(), n int, err error) {
+	switch r.Type {
+	case wal.RecPartial:
+		acc, err := core.UnmarshalDensePartial(r.Blob)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func() { s.sh.MergeDense(acc) }, 1, nil
+	case wal.RecKeyedEnvelope, wal.RecKeyedJSON:
+		var d keyed.Decoded
+		if r.Type == wal.RecKeyedEnvelope {
+			d, err = s.keyed.DecodeEnvelope(r.Blob)
+		} else {
+			d, err = s.decodeKeyedJSON(r.Blob)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return func() { s.keyed.MergeDecoded(d) }, d.Len(), nil
+	case wal.RecReset:
+		return func() {
+			s.sh.Reset()
+			s.keyed.Reset()
+		}, 0, nil
 	}
+	return nil, 0, fmt.Errorf("unknown record type %d", r.Type)
 }
 
 func checkRecKey(key string) error {
@@ -347,12 +358,11 @@ func checkRecKey(key string) error {
 	return nil
 }
 
-// flush is the batcher's sink: it journals one flush group and applies
-// it. Holding applyMu shared, so snapshots cut between flushes and never
-// through one, it journals every request of the group in one commit and
-// applies the group only if the commit succeeded — through applyRecord,
-// the same code recovery replays the records with. Its error reaches
-// every request of the group, each answered 500 with state untouched.
+// flush is the batcher's sink: it journals one flush group in one
+// commit and applies it through applyRecord. Holding applyMu shared, it
+// lets snapshots cut between flushes and never through one. Its error
+// reaches every request of the group, each answered 500 with state
+// untouched.
 func (s *Server) flush(group []batch.Request) error {
 	recs := make([]wal.Record, len(group))
 	for i, r := range group {
@@ -369,16 +379,12 @@ func (s *Server) flush(group []batch.Request) error {
 	}
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
-	if s.wal != nil {
-		if err := s.wal.Journal(recs...); err != nil {
-			return fmt.Errorf("journaling batch: %w", err)
+	_, err := s.journalThenApply("", recs, func() {
+		for _, rec := range recs {
+			// Value records fail only on a bad key, and the batcher
+			// admits only valid keys.
+			_ = s.applyRecord(rec)
 		}
-	}
-	for _, rec := range recs {
-		// Value records fail only on a bad key, and the batcher admits
-		// only valid keys.
-		_ = s.applyRecord(rec)
-	}
-	s.noteMutations(int64(len(recs)))
-	return nil
+	})
+	return err
 }

@@ -271,10 +271,11 @@ func TestWALReplayRejectsForeignEngineRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wlog.AppendBatch([]float64{1, 2}, false)
-			wlog.AppendKeyed("k", []float64{3}, false)
-			wlog.AppendBlob(tc.typ, "", tc.blob)
-			if err := wlog.Commit(); err != nil {
+			if err := wlog.Journal(
+				wal.Record{Type: wal.RecAdd, Values: []float64{1, 2}},
+				wal.Record{Type: wal.RecKeyedAdd, Key: "k", Values: []float64{3}},
+				wal.Record{Type: tc.typ, Blob: tc.blob},
+			); err != nil {
 				t.Fatal(err)
 			}
 			if err := wlog.Close(); err != nil {

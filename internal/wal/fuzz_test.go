@@ -17,19 +17,19 @@ import (
 
 func FuzzWALReplay(f *testing.F) {
 	// Seed 1: a clean log with every record type.
-	f.Add(buildSeg(f, func(l *Log) {
-		for _, r := range sampleRecords() {
-			appendRecord(l, r)
-		}
+	f.Add(buildSeg(f, func(l *Log) error {
+		return l.Journal(sampleRecords()...)
 	}))
 	// Seed 2: a clean log followed by garbage (torn tail).
-	f.Add(append(buildSeg(f, func(l *Log) {
-		l.AppendBatch([]float64{1, math.Inf(-1)}, false)
+	f.Add(append(buildSeg(f, func(l *Log) error {
+		return l.Journal(Record{Type: RecAdd, Values: []float64{1, math.Inf(-1)}})
 	}), 0xDE, 0xAD, 0xBE, 0xEF))
 	// Seed 3: a frame with a corrupted CRC byte.
-	flipped := buildSeg(f, func(l *Log) {
-		l.AppendKeyed("k", []float64{2}, true)
-		l.AppendBlob(RecPartial, "tok", []byte{0xC7, 1})
+	flipped := buildSeg(f, func(l *Log) error {
+		return l.Journal(
+			Record{Type: RecKeyedSub, Key: "k", Values: []float64{2}},
+			Record{Type: RecPartial, Token: "tok", Blob: []byte{0xC7, 1}},
+		)
 	})
 	flipped[5] ^= 0x40
 	f.Add(flipped)
@@ -75,10 +75,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rec.Records {
-			appendRecord(l2, r)
-		}
-		if err := l2.Commit(); err != nil {
+		if err := l2.Journal(rec.Records...); err != nil {
 			t.Fatal(err)
 		}
 		if err := l2.Close(); err != nil {
@@ -100,15 +97,14 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // buildSeg journals records via fn and returns the raw segment bytes.
-func buildSeg(f *testing.F, fn func(*Log)) []byte {
+func buildSeg(f *testing.F, fn func(*Log) error) []byte {
 	f.Helper()
 	dir := f.TempDir()
 	l, _, err := Open(Options{Dir: dir, Fsync: PolicyOff})
 	if err != nil {
 		f.Fatal(err)
 	}
-	fn(l)
-	if err := l.Commit(); err != nil {
+	if err := fn(l); err != nil {
 		f.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -18,13 +18,14 @@ func goldenSegment(t *testing.T) []byte {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
 	recs := goldenRecords()
-	for i, r := range recs {
-		appendRecord(l, r)
-		if i < len(recs)/2 {
-			if err := l.Commit(); err != nil {
-				t.Fatal(err)
-			}
+	half := len(recs) / 2
+	for _, r := range recs[:half] {
+		if err := l.Journal(r); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := l.Journal(recs[half:]...); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 // Package wal is the durability layer behind sumd: an append-only,
-// CRC32C-framed segment log that journals every state-mutating ingest
-// before it is acknowledged, plus periodic snapshots that bound replay.
+// CRC32C-framed segment log that journals every state-mutating request
+// before it is applied and acknowledged, plus periodic snapshots that
+// bound replay.
 //
 // The design leans on the central property of the accumulator it
 // protects: exact summation is a commutative group, so replaying the
@@ -158,13 +159,13 @@ type Recovered struct {
 	Stats    RecoveryStats
 }
 
-// Log is the append side, with one contract per ack order. Journal is
-// for records not yet applied: it appends and commits one group, and a
-// failed commit drops the group, so the caller can leave its state
-// untouched. Append* and Commit are for records already applied: the
-// frames stay pending until some commit writes them, so the log catches
-// up with the state after a failure. A failed write never leaves part of
-// a commit in a segment. All methods are safe for concurrent use.
+// Log is the append side. Callers journal a mutation before they apply
+// it: Journal appends and commits one group, and a nil return means the
+// group is durable per the fsync policy. There is one failure rule: a
+// failed commit leaves none of its frames in the log — not in a segment,
+// not pending for a later commit — so a caller that then leaves its state
+// untouched agrees with what recovery replays. All methods are safe for
+// concurrent use.
 type Log struct {
 	opt Options
 
@@ -406,38 +407,16 @@ func (l *Log) Metrics() Metrics {
 }
 
 // AppendBatch buffers an unkeyed add (or, with sub, exact-deletion)
-// batch. Buffering cannot fail; durability is decided at Commit. The
-// values are copied into the pending frame (one append of their
-// little-endian view), so xs is free for reuse as soon as it returns.
+// batch for the next Commit. The values are copied into the pending
+// frame (one append of their little-endian view), so xs is free for
+// reuse as soon as it returns.
 func (l *Log) AppendBatch(xs []float64, sub bool) {
 	t := RecAdd
 	if sub {
 		t = RecSub
 	}
-	l.bufferRecord(Record{Type: t, Values: xs})
-}
-
-// AppendKeyed buffers a keyed add/sub batch, copying xs like AppendBatch.
-func (l *Log) AppendKeyed(key string, xs []float64, sub bool) {
-	t := RecKeyedAdd
-	if sub {
-		t = RecKeyedSub
-	}
-	l.bufferRecord(Record{Type: t, Key: key, Values: xs})
-}
-
-// AppendBlob buffers a merged partial (RecPartial) or keyed envelope
-// (RecKeyedEnvelope) with its idempotency token ("" when none).
-func (l *Log) AppendBlob(t Type, token string, blob []byte) {
-	l.bufferRecord(Record{Type: t, Token: token, Blob: blob})
-}
-
-// AppendReset buffers a reset marker.
-func (l *Log) AppendReset() { l.bufferRecord(Record{Type: RecReset}) }
-
-func (l *Log) bufferRecord(r Record) {
 	l.mu.Lock()
-	l.appendLocked(r)
+	l.appendLocked(Record{Type: t, Values: xs})
 	l.mu.Unlock()
 }
 
@@ -460,11 +439,11 @@ func (l *Log) appendLocked(r Record) {
 }
 
 // Commit writes every buffered frame to the active segment in one
-// write, rotating first when the segment is full, and applies the
-// fsync policy. A nil return means every record buffered before this
-// call is at least OS-durable (and disk-durable under PolicyAlways). On
-// error the frames stay pending and ride the next successful commit:
-// their records are already applied, so the log must still catch up.
+// write, rotating first when the segment is full, and applies the fsync
+// policy. A nil return means every record buffered before this call is
+// at least OS-durable (and disk-durable under PolicyAlways). On error
+// the buffered frames are dropped, whoever buffered them: none reaches
+// the log.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -473,30 +452,27 @@ func (l *Log) Commit() error {
 
 // Journal appends recs and commits them, all under the log's lock, so no
 // other caller's frames can join the group or split it. A nil return
-// means the whole group is durable per the fsync policy. On error none
-// of the group's frames is in the log — a segment write that failed
-// part-way is truncated back — so a caller that then leaves its state
-// untouched agrees with what recovery replays. Frames an Append method
-// buffered earlier ride the same write; on error they stay pending for
-// their own Commit.
+// means the whole group is durable per the fsync policy; on error none
+// of its frames is in the log.
 func (l *Log) Journal(recs ...Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	mark, markN := len(l.pend), l.pendN
 	for _, r := range recs {
 		l.appendLocked(r)
 	}
-	err := l.commitLocked()
-	if err != nil {
-		l.pend, l.pendN = l.pend[:mark], markN
-	}
+	return l.commitLocked()
+}
+
+// commitLocked writes the pending frames and empties the pending buffer
+// whether or not the write succeeded. On failure the segment holds none
+// of the frames' bytes.
+func (l *Log) commitLocked() error {
+	err := l.writeLocked()
+	l.pend, l.pendN = l.pend[:0], 0
 	return err
 }
 
-// commitLocked writes the pending frames. On failure the pending buffer
-// is left as it was, for Journal to trim, and the segment holds none of
-// its bytes.
-func (l *Log) commitLocked() error {
+func (l *Log) writeLocked() error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
@@ -529,8 +505,6 @@ func (l *Log) commitLocked() error {
 	l.m.Bytes += n
 	l.m.Records += l.pendN
 	l.m.Commits++
-	l.pend = l.pend[:0]
-	l.pendN = 0
 	// A fully successful commit repairs the degraded flag — except under
 	// PolicyInterval, where the outstanding fsync obligation belongs to
 	// the background loop and only its success proves durability again.

@@ -32,23 +32,6 @@ func sampleRecords() []Record {
 	}
 }
 
-func appendRecord(l *Log, r Record) {
-	switch r.Type {
-	case RecAdd:
-		l.AppendBatch(r.Values, false)
-	case RecSub:
-		l.AppendBatch(r.Values, true)
-	case RecKeyedAdd:
-		l.AppendKeyed(r.Key, r.Values, false)
-	case RecKeyedSub:
-		l.AppendKeyed(r.Key, r.Values, true)
-	case RecPartial, RecKeyedEnvelope:
-		l.AppendBlob(r.Type, r.Token, r.Blob)
-	case RecReset:
-		l.AppendReset()
-	}
-}
-
 // recordsEqual compares bit patterns, not float values: NaN != NaN under
 // ==, but the journal must preserve the exact bits.
 func recordsEqual(a, b Record) bool {
@@ -94,9 +77,8 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	}
 	want := sampleRecords()
 	for _, r := range want {
-		appendRecord(l, r)
-		if err := l.Commit(); err != nil {
-			t.Fatalf("Commit: %v", err)
+		if err := l.Journal(r); err != nil {
+			t.Fatalf("Journal: %v", err)
 		}
 	}
 	m := l.Metrics()
@@ -117,10 +99,11 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
-	l.AppendBatch([]float64{1}, false)
-	l.AppendKeyed("k", []float64{2}, false)
-	l.AppendBatch([]float64{3}, true)
-	if err := l.Commit(); err != nil {
+	if err := l.Journal(
+		Record{Type: RecAdd, Values: []float64{1}},
+		Record{Type: RecKeyedAdd, Key: "k", Values: []float64{2}},
+		Record{Type: RecSub, Values: []float64{3}},
+	); err != nil {
 		t.Fatal(err)
 	}
 	if m := l.Metrics(); m.Commits != 1 || m.Records != 3 {
@@ -144,8 +127,7 @@ func TestTornTailTruncates(t *testing.T) {
 	var boundaries []int64
 	seg := filepath.Join(dir, segName(1))
 	for _, r := range want {
-		appendRecord(l, r)
-		if err := l.Commit(); err != nil {
+		if err := l.Journal(r); err != nil {
 			t.Fatal(err)
 		}
 		st, err := os.Stat(seg)
@@ -239,8 +221,7 @@ func TestRotationAndReplayAcrossSegments(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := Record{Type: RecAdd, Values: []float64{float64(i)}}
 		want = append(want, r)
-		appendRecord(l, r)
-		if err := l.Commit(); err != nil {
+		if err := l.Journal(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,10 +335,13 @@ func TestAppendCommitHotPathZeroAlloc(t *testing.T) {
 		xs[i] = float64(i) * 1.5
 	}
 	// Warm the pending buffer.
+	keyedRec := Record{Type: RecKeyedSub, Key: "warm-key", Values: xs[:8]}
 	for i := 0; i < 4; i++ {
 		l.AppendBatch(xs, false)
-		l.AppendKeyed("warm-key", xs[:8], true)
 		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Journal(keyedRec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,12 +354,11 @@ func TestAppendCommitHotPathZeroAlloc(t *testing.T) {
 		t.Errorf("AppendBatch+Commit allocates %.1f times per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		l.AppendKeyed("warm-key", xs[:8], false)
-		if err := l.Commit(); err != nil {
+		if err := l.Journal(keyedRec); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("AppendKeyed+Commit allocates %.1f times per op, want 0", n)
+		t.Errorf("Journal allocates %.1f times per op, want 0", n)
 	}
 }
 
@@ -479,9 +462,10 @@ func TestLiveBytesTracksReplayableLog(t *testing.T) {
 	if got := l.LiveBytes(); got != 0 {
 		t.Fatalf("LiveBytes after snapshot = %d, want 0", got)
 	}
-	l.AppendBatch(xs, true)
-	l.AppendKeyed("k", xs[:3], false)
-	if err := l.Commit(); err != nil {
+	if err := l.Journal(
+		Record{Type: RecSub, Values: xs},
+		Record{Type: RecKeyedAdd, Key: "k", Values: xs[:3]},
+	); err != nil {
 		t.Fatal(err)
 	}
 	want := l.LiveBytes()
@@ -497,8 +481,8 @@ func TestLiveBytesTracksReplayableLog(t *testing.T) {
 // TestFailedJournalLeavesNoFrames blocks a rotation (a directory sits
 // where the next segment file goes) so one Journal fails, then heals the
 // directory. The failed group must not reach the log — not through the
-// next commit, not on replay — while frames another caller buffered
-// before it stay pending and land with that caller's Commit.
+// next commit, not on replay — and neither may a frame another caller
+// buffered before it: a failed commit drops every frame it carried.
 func TestFailedJournalLeavesNoFrames(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyAlways, SegBytes: 1})
@@ -509,7 +493,7 @@ func TestFailedJournalLeavesNoFrames(t *testing.T) {
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	l.AppendKeyed("other", []float64{2}, false) // another caller's pending frame
+	l.AppendBatch([]float64{2}, false) // another caller's pending frame
 	err := l.Journal(
 		Record{Type: RecAdd, Values: []float64{10}},
 		Record{Type: RecKeyedSub, Key: "k", Values: []float64{20}},
@@ -529,23 +513,21 @@ func TestFailedJournalLeavesNoFrames(t *testing.T) {
 	if err := l.Journal(Record{Type: RecAdd, Values: []float64{100}}); err != nil {
 		t.Fatal(err)
 	}
-	if m := l.Metrics(); m.Records != 3 {
-		t.Fatalf("journaled %d records, want 3", m.Records)
+	if m := l.Metrics(); m.Records != 2 {
+		t.Fatalf("journaled %d records, want 2", m.Records)
 	}
 	l.Close()
 	_, rec := mustOpen(t, Options{Dir: dir})
 	checkRecovered(t, rec.Records, []Record{
 		{Type: RecAdd, Values: []float64{1}},
-		{Type: RecKeyedAdd, Key: "other", Values: []float64{2}},
 		{Type: RecAdd, Values: []float64{100}},
 	})
 }
 
 // TestFailedWriteDropsTheJournalGroup swaps the segment handle for a
-// read-only one, so the write itself fails. The failed Journal group
-// must never reach the log, while a frame buffered for Commit — a record
-// its caller already applied — stays pending and lands with the next
-// successful commit.
+// read-only one, so the write itself fails. Neither the failed Journal
+// group nor a frame buffered for a failed Commit may reach the log, not
+// even through the next successful commit.
 func TestFailedWriteDropsTheJournalGroup(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
@@ -580,7 +562,6 @@ func TestFailedWriteDropsTheJournalGroup(t *testing.T) {
 	_, rec := mustOpen(t, Options{Dir: dir})
 	checkRecovered(t, rec.Records, []Record{
 		{Type: RecAdd, Values: []float64{1}},
-		{Type: RecAdd, Values: []float64{20}},
 		{Type: RecAdd, Values: []float64{100}},
 	})
 }
